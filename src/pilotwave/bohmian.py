@@ -8,13 +8,14 @@ partial trajectory is returned with the encounter recorded.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
+from .classical import _dense_at
+from .csvio import write_csv
 from .errors import DomainError, IntegrationError, NodeSingularityError, PilotwaveError
 from .quantum import (
     NODE_THRESHOLD_FACTOR,
@@ -98,17 +99,7 @@ class BohmianTrajectory:
 
     def at(self, t) -> np.ndarray:
         """Dense-output evaluation of the position at arbitrary times."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t.size, self.dimension))
-        for i, ti in enumerate(t):
-            seg = None
-            for lo, hi, sol in self._segments:
-                if min(lo, hi) - 1e-12 <= ti <= max(lo, hi) + 1e-12:
-                    seg = sol
-                    break
-            if seg is None:
-                raise DomainError(f"time {ti} outside trajectory range")
-            out[i] = seg(ti)
+        out = _dense_at(self._segments, t)
         return out if self.dimension == 2 else out[:, 0]
 
     def to_csv(self, path) -> None:
@@ -116,17 +107,8 @@ class BohmianTrajectory:
         header = (
             ["t"] + [f"x{i+1}" for i in range(d)] + [f"v{i+1}" for i in range(d)] + ["Q", "rho"]
         )
-        pos = np.atleast_2d(self.positions.T).T
-        vel = np.atleast_2d(self.velocities.T).T
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))]
-                row += [repr(float(v)) for v in pos[i]]
-                row += [repr(float(v)) for v in vel[i]]
-                row += [repr(float(self.Q[i])), repr(float(self.rho[i]))]
-                w.writerow(row)
+        write_csv(path, header, [self.times, *np.atleast_2d(self.positions.T),
+                                 *np.atleast_2d(self.velocities.T), self.Q, self.rho])
 
 
 def _node_threshold(sup: Superposition) -> float:

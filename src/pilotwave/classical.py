@@ -15,7 +15,6 @@ single angle in the (p_mu, p_nu) plane.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from .csvio import write_csv
 from .errors import DomainError, IntegrationError
 from .systems import DiamagneticSystem, PhaseState, SolvableSystem
 
@@ -67,12 +67,20 @@ def regularized_derivative(system: DiamagneticSystem, state):
     y = state.as_array() if isinstance(state, PhaseState) else np.asarray(state, dtype=float)
     if y.shape[-1] != 4 or not np.all(np.isfinite(y)):
         raise DomainError("regularized state must be 4 finite components")
-    eps = system.epsilon
-    mu, nu, pmu, pnu = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+    return np.stack(_flow(np.moveaxis(y, -1, 0), system.epsilon), axis=-1)
+
+
+def _flow(y, eps):
+    """(mu', nu', p_mu', p_nu') of the regularized flow; y[0:4] = (mu, nu, p_mu, p_nu).
+
+    The state runs along the leading axis; extra components past the
+    fourth (integrator quadratures, tangent vectors) are ignored.
+    """
+    mu, nu, pmu, pnu = y[0], y[1], y[2], y[3]
     mu2, nu2 = mu * mu, nu * nu
-    dpmu = 2.0 * eps * mu - 0.25 * mu * nu2 * (2.0 * mu2 + nu2)
-    dpnu = 2.0 * eps * nu - 0.25 * nu * mu2 * (2.0 * nu2 + mu2)
-    return np.stack([pmu, pnu, dpmu, dpnu], axis=-1)
+    return (pmu, pnu,
+            2.0 * eps * mu - 0.25 * mu * nu2 * (2.0 * mu2 + nu2),
+            2.0 * eps * nu - 0.25 * nu * mu2 * (2.0 * nu2 + mu2))
 
 
 def _jacobian(y, eps):
@@ -118,6 +126,34 @@ def physical_to_regularized(rho: float, z: float, p_rho: float, p_z: float) -> n
     return np.array([mu, nu, p_mu, p_nu])
 
 
+def _dense_at(segments, t) -> np.ndarray:
+    """Evaluate dense-output segments (t_start, t_end, sol) at times t, shape (n, dim).
+
+    Segments run contiguously in one time direction.  A query within 1e-12
+    of a segment belongs to it; at a shared endpoint the earlier segment
+    wins, and each segment is evaluated once for all of its queries.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    starts = np.array([seg[0] for seg in segments])
+    ends = np.array([seg[1] for seg in segments])
+    # in s*t the segments run forward, so the first whose end reaches a query holds it
+    s = 1.0 if ends[-1] >= starts[0] else -1.0
+    k = np.searchsorted(s * ends + 1e-12, s * t)
+    outside = (k == len(segments)) | (s * t < s * starts[np.minimum(k, len(segments) - 1)] - 1e-12)
+    if np.any(outside):
+        raise DomainError(f"time {t[outside][0]} outside trajectory range")
+    if t.size == 0:  # no query to take the width from
+        return np.empty((0, np.size(segments[0][2](starts[0]))))
+    out = None
+    for j in np.unique(k):
+        sel = k == j
+        v = segments[j][2](t[sel])
+        if out is None:
+            out = np.empty((t.size, v.shape[0]))
+        out[sel] = v.T
+    return out
+
+
 def launch_from_nucleus(theta: float) -> PhaseState:
     """On-shell launch at the nucleus with regularized momentum angle theta.
 
@@ -151,21 +187,7 @@ class Trajectory:
         return float(np.max(np.abs(self.invariant - self.invariant[0])))
 
     def at(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = None
-        for i, ti in enumerate(t):
-            seg = None
-            for lo, hi, sol in self._segments:
-                if min(lo, hi) - 1e-12 <= ti <= max(lo, hi) + 1e-12:
-                    seg = sol
-                    break
-            if seg is None:
-                raise DomainError(f"time {ti} outside trajectory range")
-            v = seg(ti)
-            if out is None:
-                out = np.empty((t.size, v.size))
-            out[i] = v
-        return out
+        return _dense_at(self._segments, t)
 
     def physical_coords(self) -> np.ndarray:
         """Diamagnetic only: (rho, z, p_rho, p_z) samples."""
@@ -202,40 +224,24 @@ class Trajectory:
         """
         if isinstance(self.system, DiamagneticSystem):
             t = self.physical_time
-            qp = self.physical_coords()
             # the launch sample at the nucleus has undefined momenta
-            qp = np.nan_to_num(qp, nan=0.0)
+            qp = list(np.nan_to_num(self.physical_coords(), nan=0.0).T)
         else:
             t = self.times
-            st = self.states
-            if st.shape[1] == 2:  # 1D: pad to two configuration dof
-                qp = np.stack([st[:, 0], np.zeros(len(t)), st[:, 1], np.zeros(len(t))], axis=-1)
-            else:
-                qp = st
+            qp = list(self.states.T)
+            if len(qp) == 2:  # 1D: pad to two configuration dof
+                qp = [qp[0], np.zeros(len(t)), qp[1], np.zeros(len(t))]
         drift = np.abs(self.invariant - self.invariant[0])
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "q1", "q2", "p1", "p2", "invariant_drift"])
-            for i in range(len(t)):
-                w.writerow([repr(float(t[i]))] + [repr(float(v)) for v in qp[i]]
-                           + [repr(float(drift[i]))])
+        write_csv(path, ["t", "q1", "q2", "p1", "p2", "invariant_drift"], [t, *qp, drift])
 
 
 def _integrate_diamagnetic(system, y0, duration, tol, max_step, t_eval=None, t0=0.0):
     eps = system.epsilon
 
     def rhs(t, y):
-        mu, nu, pmu, pnu = y[0], y[1], y[2], y[3]
-        mu2, nu2 = mu * mu, nu * nu
-        r2 = mu2 + nu2
-        return (
-            pmu,
-            pnu,
-            2.0 * eps * mu - 0.25 * mu * nu2 * (2.0 * mu2 + nu2),
-            2.0 * eps * nu - 0.25 * nu * mu2 * (2.0 * nu2 + mu2),
-            r2,                      # physical time quadrature
-            pmu * pmu + pnu * pnu,   # reduced action quadrature
-        )
+        return (*_flow(y, eps),
+                y[0] * y[0] + y[1] * y[1],   # physical time quadrature
+                y[2] * y[2] + y[3] * y[3])   # reduced action quadrature
 
     y0aug = np.concatenate([y0, [0.0, 0.0]])
     res = solve_ivp(rhs, (t0, t0 + duration), y0aug, method="DOP853", rtol=tol,
@@ -442,7 +448,6 @@ class ChaosDiagnostics:
 
     lyapunov_estimate: float
     horizon: float
-    section_points: list
     coverage_fraction: float
 
 
@@ -462,18 +467,9 @@ def lyapunov_exponent(system, initial: PhaseState, horizon: float,
     ndim = y0.size
     if diamagnetic:
         def one(t, y):
-            mu, nu, pmu, pnu = y
-            mu2, nu2 = mu * mu, nu * nu
-            return np.array([
-                pmu, pnu,
-                2.0 * system.epsilon * mu - 0.25 * mu * nu2 * (2.0 * mu2 + nu2),
-                2.0 * system.epsilon * nu - 0.25 * nu * mu2 * (2.0 * nu2 + mu2),
-            ])
+            return _flow(y, system.epsilon)
     else:
-        base = _solvable_rhs(system)
-
-        def one(t, y):
-            return np.asarray(base(t, y))
+        one = _solvable_rhs(system)
 
     def rhs(t, y):
         return np.concatenate([one(t, y[:ndim]), one(t, y[ndim:])])
@@ -506,7 +502,7 @@ def lyapunov_exponent(system, initial: PhaseState, horizon: float,
     cov = 0.0
     if diamagnetic and system.epsilon < 0:
         cov = coverage_fraction(np.concatenate(phys_points), system.epsilon, coverage_grid)
-    return ChaosDiagnostics(lam, horizon, [], cov)
+    return ChaosDiagnostics(lam, horizon, cov)
 
 
 @dataclass(frozen=True)

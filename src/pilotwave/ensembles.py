@@ -8,7 +8,6 @@ equation (equivariance).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +15,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .bohmian import _node_threshold, integrate_bohmian
+from .csvio import write_csv
 from .errors import DomainError, IntegrationError, PilotwaveError
 from .quantum import Superposition, effective_domain, evaluate_wavefunction
 
@@ -46,14 +46,9 @@ class Ensemble:
         return self.positions.shape[0]
 
     def to_csv(self, path) -> None:
-        pos = self.positions
-        d = 1 if pos.ndim == 1 else pos.shape[1]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["member_id"] + [f"x{i+1}" for i in range(d)])
-            for i in range(pos.shape[0]):
-                row = [str(i)] + [repr(float(v)) for v in np.atleast_1d(pos[i])]
-                w.writerow(row)
+        cols = np.atleast_2d(self.positions.T)
+        write_csv(path, ["member_id"] + [f"x{i+1}" for i in range(len(cols))],
+                  [np.arange(self.size), *cols])
 
 
 def _density_batch(sup: Superposition, pts: np.ndarray, t: float) -> np.ndarray:

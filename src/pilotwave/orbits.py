@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .classical import _jacobian, integrate_classical, launch_from_nucleus
+from .classical import _flow, _jacobian, integrate_classical, launch_from_nucleus
 from .errors import DomainError, IntegrationError
 from .systems import DiamagneticSystem, PhaseState, SolvableSystem
 
@@ -61,25 +61,14 @@ class ClosedOrbit:
 
 def _close_approaches(system, theta, tau_max, tol, capture_radius, tau_min=0.05):
     """Integrate one launch and list close approaches (tau, R, miss L)."""
-    eps = system.epsilon
-
-    def rhs(t, y):
-        mu, nu, pmu, pnu = y
-        mu2, nu2 = mu * mu, nu * nu
-        return (
-            pmu, pnu,
-            2.0 * eps * mu - 0.25 * mu * nu2 * (2.0 * mu2 + nu2),
-            2.0 * eps * nu - 0.25 * nu * mu2 * (2.0 * nu2 + mu2),
-        )
-
     def radial_min(t, y):
         # d(R^2)/dtau / 2 crosses zero upward at a closest approach
         return y[0] * y[2] + y[1] * y[3]
 
     radial_min.direction = 1.0
     y0 = launch_from_nucleus(theta).as_array()
-    res = solve_ivp(rhs, (0.0, tau_max), y0, method="DOP853", rtol=tol, atol=tol,
-                    dense_output=True, events=[radial_min])
+    res = solve_ivp(lambda t, y: _flow(y, system.epsilon), (0.0, tau_max), y0, method="DOP853",
+                    rtol=tol, atol=tol, dense_output=True, events=[radial_min])
     if res.status < 0:
         raise IntegrationError(res.message)
     out = []
@@ -95,20 +84,9 @@ def _close_approaches(system, theta, tau_max, tol, capture_radius, tau_min=0.05)
 
 def _polish_return(system, theta, tau_guess, tol):
     """Locate the closest-approach time near tau_guess; returns (tau*, R*)."""
-    eps = system.epsilon
-
-    def rhs(t, y):
-        mu, nu, pmu, pnu = y
-        mu2, nu2 = mu * mu, nu * nu
-        return (
-            pmu, pnu,
-            2.0 * eps * mu - 0.25 * mu * nu2 * (2.0 * mu2 + nu2),
-            2.0 * eps * nu - 0.25 * nu * mu2 * (2.0 * nu2 + mu2),
-        )
-
     y0 = launch_from_nucleus(theta).as_array()
-    res = solve_ivp(rhs, (0.0, tau_guess * 1.05 + 0.2), y0, method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True)
+    res = solve_ivp(lambda t, y: _flow(y, system.epsilon), (0.0, tau_guess * 1.05 + 0.2), y0,
+                    method="DOP853", rtol=tol, atol=tol, dense_output=True)
 
     def radial_rate(tau):
         y = res.sol(tau)
@@ -166,17 +144,8 @@ def _monodromy(system, y0, tau_period, tol, n_check=2000):
     eps = system.epsilon
 
     def rhs(t, z):
-        y = z[:4]
-        m = z[4:].reshape(4, 4)
-        mu, nu, pmu, pnu = y
-        mu2, nu2 = mu * mu, nu * nu
-        dy = np.array([
-            pmu, pnu,
-            2.0 * eps * mu - 0.25 * mu * nu2 * (2.0 * mu2 + nu2),
-            2.0 * eps * nu - 0.25 * nu * mu2 * (2.0 * nu2 + mu2),
-        ])
-        dm = _jacobian(y, eps) @ m
-        return np.concatenate([dy, dm.reshape(-1)])
+        dm = _jacobian(z, eps) @ z[4:].reshape(4, 4)
+        return np.concatenate([_flow(z, eps), dm.reshape(-1)])
 
     z0 = np.concatenate([y0, np.eye(4).reshape(-1)])
     t_eval = np.linspace(0.0, tau_period, n_check)

@@ -22,6 +22,7 @@ from .classical import (
     poincare_section,
 )
 from .config import Scenario, build_state, build_system, load_scenario
+from .csvio import write_csv
 from .ensembles import equivariance_l1, evolve_ensemble, sample_quantum_equilibrium
 from .errors import ConfigError
 from .orbits import solvable_orbit
@@ -78,17 +79,10 @@ def _write_json(path: Path, data) -> None:
 
 
 def _boundary_csv(path: Path, epsilon: float) -> None:
-    import csv
-
-    pts = accessible_boundary(epsilon)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["q1", "q2"])
-        for rho, z in pts:
-            w.writerow([repr(float(rho)), repr(float(z))])
-        # mirror half for a closed curve in the (rho, z) half plane convention
-        for rho, z in pts[::-1]:
-            w.writerow([repr(float(-rho)), repr(float(z))])
+    rho, z = accessible_boundary(epsilon).T
+    # mirror half for a closed curve in the (rho, z) half plane convention
+    write_csv(path, ["q1", "q2"], [np.concatenate([rho, -rho[::-1]]),
+                                   np.concatenate([z, z[::-1]])])
 
 
 def _run_classical(scn: Scenario, out: Path) -> list[Path]:
@@ -121,13 +115,7 @@ def _run_classical(scn: Scenario, out: Path) -> list[Path]:
     if run["section"] is not None:
         sec = run["section"]
         pts = poincare_section(traj, SectionPlane(sec["index"], sec["value"], sec["direction"]))
-        import csv
-
-        with open(out / "section.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["q", "p"])
-            for a, b in pts:
-                w.writerow([repr(float(a)), repr(float(b))])
+        write_csv(out / "section.csv", ["q", "p"], pts.T)
         files.append(out / "section.csv")
         diagnostics["section_points"] = int(pts.shape[0])
     _write_json(out / "diagnostics.json", diagnostics)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import DomainError
 from .quantum import Superposition
 from .systems import SolvableSystem
@@ -176,13 +177,8 @@ class LevelDensity:
         return _local_maxima(self.energies, self.total, floor)
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["E", "mean", "oscillatory", "total"])
-            for e, mn, osc, tot in zip(self.energies, self.mean, self.oscillatory, self.total):
-                w.writerow([repr(float(v)) for v in (e, mn, osc, tot)])
+        write_csv(path, ["E", "mean", "oscillatory", "total"],
+                  [self.energies, self.mean, self.oscillatory, self.total])
 
 
 def trace_formula_density(system: SolvableSystem, families, energies,
@@ -274,13 +270,7 @@ class RecurrenceSpectrum:
     associations: list = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "abs_C"])
-            for t, c in zip(self.times, self.abs_c):
-                w.writerow([repr(float(t)), repr(float(c))])
+        write_csv(path, ["t", "abs_C"], [self.times, self.abs_c])
 
 
 def recurrence_spectrum(sup: Superposition, times) -> RecurrenceSpectrum:

@@ -76,3 +76,15 @@ def ngon(centre, radius, n=12):
     th = np.linspace(0.0, 2.0 * math.pi, n + 1)[:-1]
     return np.stack([centre[0] + radius * np.cos(th),
                      centre[1] + radius * np.sin(th)], axis=-1)
+
+
+def scan_segments(segments, t):
+    """Reference dense lookup: scan the segments in order for each time.
+
+    The first segment whose range, widened by 1e-12, holds t is evaluated;
+    None when no segment does.
+    """
+    for lo, hi, sol in segments:
+        if min(lo, hi) - 1e-12 <= t <= max(lo, hi) + 1e-12:
+            return sol(t)
+    return None

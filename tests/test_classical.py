@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import scan_segments
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotwave import classical as cl
 from pilotwave import systems as sy
@@ -243,3 +246,55 @@ def test_trajectory_csv_headers(tmp_path, ho1d):
     path2 = tmp_path / "ho.csv"
     traj2.to_csv(path2)
     assert path2.read_text().splitlines()[0] == "t,q1,q2,p1,p2,invariant_drift"
+
+
+def test_dense_lookup_across_bounces(box1d):
+    """Several wall bounces give several segments; lookup keeps the scan's choices."""
+    traj = cl.integrate_classical(box1d, sy.PhaseState((0.3,), (1.7,)), 5.0, tol=1e-10)
+    segs = traj._segments
+    assert len(segs) >= 5
+    for (_, t_bounce, before), (_, _, after) in zip(segs[:-1], segs[1:]):
+        v = traj.at(t_bounce)[0]
+        # the earlier segment wins: momentum from before the bounce
+        np.testing.assert_array_equal(v, before(t_bounce))
+        assert v[1] * after(t_bounce)[1] < 0.0
+    t_start, t_end = traj.times[0], traj.times[-1]
+    for t in (t_start - 5e-13, t_end + 5e-13):
+        np.testing.assert_array_equal(traj.at(t)[0], scan_segments(segs, t))
+    for t in (t_start - 1e-9, t_end + 1e-9):
+        with pytest.raises(DomainError):
+            traj.at(t)
+    rng = np.random.default_rng(3)
+    tt = rng.permutation(np.concatenate([rng.uniform(t_start, t_end, 200),
+                                         [s[1] for s in segs]]))
+    batch = traj.at(tt)
+    np.testing.assert_array_equal(batch, np.array([traj.at(t)[0] for t in tt]))
+    np.testing.assert_array_equal(batch, np.array([scan_segments(segs, t) for t in tt]))
+
+
+_coord = st.floats(-2.0, 2.0, allow_nan=False)
+_state = st.tuples(_coord, _coord, _coord, _coord).map(np.array)
+_eps = st.floats(-1.0, -0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=_state, eps=_eps)
+def test_flow_jacobian_matches_central_differences(y, eps):
+    h = 1e-6
+    fd = np.empty((4, 4))
+    for j in range(4):
+        yp, ym = y.copy(), y.copy()
+        yp[j] += h
+        ym[j] -= h
+        fd[:, j] = (np.array(cl._flow(yp, eps)) - np.array(cl._flow(ym, eps))) / (2.0 * h)
+    jac = cl._jacobian(y, eps)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=_state, eps=_eps)
+def test_flow_z_reflection_symmetry(y, eps):
+    """mu <-> nu (with p_mu <-> p_nu) is z -> -z and maps the flow onto itself."""
+    swap = [1, 0, 3, 2]
+    f = np.array(cl._flow(y, eps))
+    np.testing.assert_array_equal(np.array(cl._flow(y[swap], eps)), f[swap])
