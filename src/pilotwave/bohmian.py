@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .classical import _dense_at
+from .classical import _dense_at, _integrate_events, _renormalized_pair, _wall_events
 from .csvio import write_csv
-from .errors import DomainError, IntegrationError, NodeSingularityError, PilotwaveError
+from .errors import DomainError, NodeSingularityError, PilotwaveError
 from .quantum import (
     NODE_THRESHOLD_FACTOR,
     Superposition,
@@ -149,64 +149,23 @@ def integrate_bohmian(
         return abs(psi) - threshold
 
     node_event.terminal = True
-    events = [node_event]
-    wall_events = []
-    if system.kind == "box":
-        for i in range(d):
-            for wall, sign in ((0.0, 1.0), (system.lengths[i], -1.0)):
-                def wev(t, y, i=i, wall=wall, sign=sign):
-                    return sign * (y[i] - wall)
-                wev.terminal = True
-                wall_events.append((i, wall, wev))
-        events = events + [e for _, _, e in wall_events]
-
-    segments = []
-    ts, xs = [], []
+    walls = _wall_events(system)
     node_encounters, wall_breaches = [], []
-    complete = True
-    t_cur, x_cur = t0, x0.copy()
-    span = abs(t1 - t0)
-    for _ in range(200):  # bounded number of wall reflections
-        res = solve_ivp(
-            rhs,
-            (t_cur, t1),
-            x_cur,
-            method=method,
-            rtol=tol,
-            atol=tol,
-            dense_output=True,
-            events=events,
-            max_step=min(max_step, span / 32) if span > 0 else max_step,
-        )
-        if res.t.size:
-            segments.append((res.t[0], res.t[-1], res.sol))
-            start = 1 if ts else 0
-            ts.extend(res.t[start:])
-            xs.extend(res.y.T[start:])
-        if res.status == 1:  # an event fired
-            hit = [k for k, te in enumerate(res.t_events) if te.size]
-            k = hit[0]
-            te = res.t_events[k][0]
-            ye = res.y_events[k][0]
-            if k == 0:
-                psi, _, _ = evaluate_wavefunction(sup, ye[0] if d == 1 else ye, te)
-                node_encounters.append({"t": float(te), "x": ye.tolist(), "rho": float(abs(psi))})
-                complete = False
-                break
-            i, wall, _ = wall_events[k - 1]
-            wall_breaches.append({"t": float(te), "x": ye.tolist(), "axis": i})
-            ye = ye.copy()
-            ye[i] = 2.0 * wall - ye[i]  # reflect back inside
-            t_cur, x_cur = te, ye
-            continue
-        if res.status < 0:
-            raise IntegrationError(res.message, partial=(np.array(ts), np.array(xs)))
-        break
-    else:
-        raise IntegrationError("wall reflection limit exceeded", partial=(np.array(ts), np.array(xs)))
 
-    times = np.array(ts)
-    positions = np.array(xs)
+    def on_event(k, t, y):
+        if k == 0:
+            psi, _, _ = evaluate_wavefunction(sup, y[0] if d == 1 else y, t)
+            node_encounters.append({"t": float(t), "x": y.tolist(), "rho": float(abs(psi))})
+            return None
+        i, wall, _ = walls[k - 1]
+        wall_breaches.append({"t": float(t), "x": y.tolist(), "axis": i})
+        y[i] = 2.0 * wall - y[i]  # reflect back inside
+        return y
+
+    span = abs(t1 - t0)
+    times, positions, segments = _integrate_events(
+        solve_ivp, rhs, (t0, t1), x0, [node_event] + [e for _, _, e in walls], on_event,
+        200, method, tol, min(max_step, span / 32) if span > 0 else max_step)
     n = times.size
     velocities = np.empty_like(positions)
     qv = np.empty(n)
@@ -233,7 +192,7 @@ def integrate_bohmian(
         superposition=sup,
         node_encounters=node_encounters,
         wall_breaches=wall_breaches,
-        complete=complete,
+        complete=not node_encounters,
         min_step=min_step,
         _segments=segments,
     )
@@ -308,16 +267,12 @@ def bohmian_lyapunov(
     growth rate is returned.  A node halt yields a partial estimate with the
     flag set.
     """
-    system = sup.system
-    d = system.dimension
+    d = sup.system.dimension
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    y0 = np.concatenate([x0, x0 + np.full(d, offset / math.sqrt(d))])
     threshold = _node_threshold(sup)
 
-    def rhs(t, y):
-        va = _velocity_raw(sup, y[:d], t)
-        vb = _velocity_raw(sup, y[d:], t)
-        return np.concatenate([va, vb])
+    def one(t, x):
+        return _velocity_raw(sup, x, t)
 
     def node_event(t, y):
         pa, _, _ = evaluate_wavefunction(sup, y[0] if d == 1 else y[:d], t)
@@ -325,35 +280,9 @@ def bohmian_lyapunov(
         return min(abs(pa), abs(pb)) - threshold
 
     node_event.terminal = True
-
-    log_sum = 0.0
-    t_cur = t0
-    y = y0.copy()
-    n_renorm = 0
-    t_end = t0 + horizon
-    partial = False
-    while t_cur < t_end - 1e-12:
-        t_next = min(t_cur + renorm_interval, t_end)
-        res = solve_ivp(rhs, (t_cur, t_next), y, method="RK45", rtol=tol, atol=tol,
-                        events=[node_event])
-        if res.status == 1:
-            partial = True
-            t_cur = float(res.t[-1])
-            break
-        if res.status < 0:
-            raise IntegrationError(res.message)
-        y = res.y[:, -1]
-        sep = y[d:] - y[:d]
-        dist = float(np.linalg.norm(sep))
-        if dist == 0.0:
-            # identical to machine precision: no divergence contribution
-            y[d:] = y[:d] + np.full(d, offset / math.sqrt(d))
-        else:
-            log_sum += math.log(dist / offset)
-            y[d:] = y[:d] + sep * (offset / dist)
-        n_renorm += 1
-        t_cur = t_next
-    elapsed = t_cur - t0
+    log_sum, elapsed, n_renorm, partial, _ = _renormalized_pair(
+        solve_ivp, one, x0, t0, horizon, renorm_interval, offset, tol, "RK45",
+        events=[node_event])
     value = log_sum / elapsed if elapsed > 0 else 0.0
     return LyapunovEstimate(value, elapsed, n_renorm, partial)
 

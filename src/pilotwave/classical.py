@@ -298,49 +298,69 @@ def _solvable_energy(system, y):
     return kin + system.potential(q if d == 2 else q[..., 0])
 
 
-def _integrate_solvable(system, initial, duration, tol, max_step):
-    d = system.dimension
-    y0 = initial.as_array()
-    t0, t1 = initial.t, initial.t + duration
-    rhs = _solvable_rhs(system)
+def _wall_events(system):
+    """Terminal (axis, wall, event) triples of a box system, each event positive inside."""
+    if system.kind != "box":
+        return []
+    walls = []
+    for i in range(system.dimension):
+        for wall, sign in ((0.0, 1.0), (system.lengths[i], -1.0)):
+            def wev(t, y, i=i, wall=wall, sign=sign):
+                return sign * (y[i] - wall)
+            wev.terminal = True
+            walls.append((i, wall, wev))
+    return walls
 
-    events = []
-    if system.kind == "box":
-        for i in range(d):
-            for wall, sign in ((0.0, 1.0), (system.lengths[i], -1.0)):
-                def wev(t, y, i=i, wall=wall, sign=sign):
-                    return sign * (y[i] - wall)
-                wev.terminal = True
-                events.append((i, wev))
 
+def _integrate_events(solve, rhs, t_span, y0, events, on_event, limit, method, tol, max_step):
+    """Integrate with the caller's solve_ivp and dense output from event to event.
+
+    When event k fires at (t, y), on_event(k, t, y) returns the state to
+    restart from, or None to stop.  Returns (times, states, segments), each
+    restart sample listed once.  Solver failure or `limit` restarts raise
+    IntegrationError carrying the samples so far.
+    """
     ts, ys, segments = [], [], []
-    t_cur, y_cur = t0, y0
-    for _ in range(100000):
-        res = solve_ivp(rhs, (t_cur, t1), y_cur, method="DOP853", rtol=tol, atol=tol,
-                        dense_output=True, events=[e for _, e in events] or None,
-                        max_step=max_step)
-        if res.status < 0:
-            raise IntegrationError(res.message)
+    t_cur, y_cur = t_span[0], y0
+    for _ in range(limit):
+        res = solve(rhs, (t_cur, t_span[1]), y_cur, method=method, rtol=tol, atol=tol,
+                    dense_output=True, events=events, max_step=max_step)
         if res.t.size:
             segments.append((res.t[0], res.t[-1], res.sol))
             start = 1 if ts else 0
             ts.extend(res.t[start:])
             ys.extend(res.y.T[start:])
+        if res.status < 0:
+            raise IntegrationError(res.message, partial=(np.array(ts), np.array(ys)))
         if res.status != 1:
             break
         k = [j for j, te in enumerate(res.t_events) if te.size][0]
-        te, ye = res.t_events[k][0], res.y_events[k][0].copy()
-        i = events[k][0]
-        ye[d + i] = -ye[d + i]  # elastic wall bounce
-        # nudge off the wall so the event does not refire
-        ye[i] = min(max(ye[i], 1e-14), system.lengths[i] - 1e-14)
-        t_cur, y_cur = te, ye
+        t_cur = res.t_events[k][0]
+        y_cur = on_event(k, t_cur, res.y_events[k][0].copy())
+        if y_cur is None:
+            break
     else:
-        raise IntegrationError("wall bounce limit exceeded")
+        raise IntegrationError(f"event restart limit exceeded ({limit} restarts)",
+                               partial=(np.array(ts), np.array(ys)))
+    return np.array(ts), np.array(ys), segments
 
-    states = np.array(ys)
+
+def _integrate_solvable(system, initial, duration, tol, max_step):
+    d = system.dimension
+    walls = _wall_events(system)
+
+    def bounce(k, t, y):
+        i = walls[k][0]
+        y[d + i] = -y[d + i]  # elastic wall bounce
+        # nudge off the wall so the event does not refire
+        y[i] = min(max(y[i], 1e-14), system.lengths[i] - 1e-14)
+        return y
+
+    times, states, segments = _integrate_events(
+        solve_ivp, _solvable_rhs(system), (initial.t, initial.t + duration), initial.as_array(),
+        [e for _, _, e in walls] or None, bounce, 100000, "DOP853", tol, max_step)
     inv = _solvable_energy(system, states)
-    return Trajectory(system, np.array(ts), states, inv, _segments=segments)
+    return Trajectory(system, times, states, inv, _segments=segments)
 
 
 def physical_hamiltonian(q, p, field_strength: float):
@@ -366,14 +386,11 @@ def integrate_diamagnetic_physical(system: DiamagneticSystem, initial: PhaseStat
         r3 = (rho * rho + z * z) ** 1.5
         return (prho, pz, -rho / r3 - b * b * rho / 4.0, -z / r3)
 
-    res = solve_ivp(rhs, (initial.t, initial.t + duration), initial.as_array(),
-                    method="DOP853", rtol=tol, atol=tol, dense_output=True)
-    if res.status < 0:
-        raise IntegrationError(res.message)
-    states = res.y.T
+    times, states, segments = _integrate_events(
+        solve_ivp, rhs, (initial.t, initial.t + duration), initial.as_array(), None, None, 1,
+        "DOP853", tol, np.inf)
     inv = physical_hamiltonian(states[:, :2], states[:, 2:], b)
-    return Trajectory(system, res.t, states, inv,
-                      _segments=[(res.t[0], res.t[-1], res.sol)])
+    return Trajectory(system, times, states, inv, _segments=segments)
 
 
 def scaling_map(q, p, t, field_strength: float):
@@ -463,46 +480,67 @@ def lyapunov_exponent(system, initial: PhaseState, horizon: float,
     reference trajectory is measured on the side.
     """
     diamagnetic = isinstance(system, DiamagneticSystem)
-    y0 = initial.as_array()
-    ndim = y0.size
     if diamagnetic:
         def one(t, y):
             return _flow(y, system.epsilon)
     else:
         one = _solvable_rhs(system)
-
-    def rhs(t, y):
-        return np.concatenate([one(t, y[:ndim]), one(t, y[ndim:])])
-
-    delta = np.full(ndim, offset / math.sqrt(ndim))
-    y = np.concatenate([y0, y0 + delta])
-    log_sum = 0.0
-    t_cur = 0.0
-    phys_points = []
-    samples_per_chunk = max(4, int(20 * renorm_interval))
-    while t_cur < horizon - 1e-12:
-        t_next = min(t_cur + renorm_interval, horizon)
-        t_eval = np.linspace(t_cur, t_next, samples_per_chunk) if diamagnetic else None
-        res = solve_ivp(rhs, (t_cur, t_next), y, method="DOP853", rtol=tol, atol=tol,
-                        t_eval=t_eval)
-        if res.status < 0:
-            raise IntegrationError(res.message)
-        if diamagnetic:
-            phys_points.append(regularized_to_physical(res.y[:4].T)[:, :2])
-        y = res.y[:, -1]
-        sep = y[ndim:] - y[:ndim]
-        dist = float(np.linalg.norm(sep))
-        if dist == 0.0:
-            y[ndim:] = y[:ndim] + delta
-        else:
-            log_sum += math.log(dist / offset)
-            y[ndim:] = y[:ndim] + sep * (offset / dist)
-        t_cur = t_next
-    lam = log_sum / horizon
+    # coverage samples; t_eval would change the states carried between
+    # intervals, so solvable systems run without it
+    samples = max(4, int(20 * renorm_interval)) if diamagnetic else None
+    log_sum, _, _, _, ref = _renormalized_pair(solve_ivp, one, initial.as_array(), 0.0, horizon,
+                                               renorm_interval, offset, tol, "DOP853",
+                                               samples=samples)
     cov = 0.0
     if diamagnetic and system.epsilon < 0:
-        cov = coverage_fraction(np.concatenate(phys_points), system.epsilon, coverage_grid)
-    return ChaosDiagnostics(lam, horizon, cov)
+        points = regularized_to_physical(np.concatenate(ref))[:, :2]
+        cov = coverage_fraction(points, system.epsilon, coverage_grid)
+    return ChaosDiagnostics(log_sum / horizon, horizon, cov)
+
+
+def _renormalized_pair(solve, one, y0, t0, horizon, renorm_interval, offset, tol, method,
+                       events=None, samples=None):
+    """Benettin's renormalized pair for the flow dy/dt = one(t, y) from y0 at t0.
+
+    A companion displaced by `offset` runs next to the reference; at the end
+    of each `renorm_interval` (solved by the caller's `solve`) the log growth
+    of their separation is summed and the separation is rescaled back to
+    `offset`.  A terminal event among `events` ends the run early.  With
+    `samples`, each interval is sampled at that many points.  Returns
+    (log_sum, elapsed, renormalizations, stopped, reference samples).
+    """
+    n = y0.size
+    delta = np.full(n, offset / math.sqrt(n))
+
+    def rhs(t, y):
+        return np.concatenate([one(t, y[:n]), one(t, y[n:])])
+
+    y = np.concatenate([y0, y0 + delta])
+    log_sum, n_renorm, ref = 0.0, 0, []
+    t_cur, t_end = t0, t0 + horizon
+    while t_cur < t_end - 1e-12:
+        t_next = min(t_cur + renorm_interval, t_end)
+        t_eval = np.linspace(t_cur, t_next, samples) if samples else None
+        res = solve(rhs, (t_cur, t_next), y, method=method, rtol=tol, atol=tol,
+                    t_eval=t_eval, events=events)
+        if res.status == 1:
+            return log_sum, float(res.t[-1]) - t0, n_renorm, True, ref
+        if res.status < 0:
+            raise IntegrationError(res.message)
+        if samples:
+            ref.append(res.y[:n].T)
+        y = res.y[:, -1]
+        sep = y[n:] - y[:n]
+        dist = float(np.linalg.norm(sep))
+        if dist == 0.0:
+            # identical to machine precision: no divergence contribution
+            y[n:] = y[:n] + delta
+        else:
+            log_sum += math.log(dist / offset)
+            y[n:] = y[:n] + sep * (offset / dist)
+        n_renorm += 1
+        t_cur = t_next
+    return log_sum, t_cur - t0, n_renorm, False, ref
 
 
 @dataclass(frozen=True)

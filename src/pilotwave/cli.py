@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,8 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario config")
     p_run.add_argument("config", help="scenario JSON file")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads (falls back to PILOTWAVE_THREADS)")
 
     p_plot = sub.add_parser("plot", help="render a CSV dataset to SVG")
     p_plot.add_argument("data", help="CSV dataset")
@@ -52,13 +49,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            threads = args.threads
-            if threads is None and os.environ.get("PILOTWAVE_THREADS"):
-                try:
-                    threads = int(os.environ["PILOTWAVE_THREADS"])
-                except ValueError:
-                    raise ConfigError("PILOTWAVE_THREADS", "must be an integer") from None
-            manifest = run_scenario(args.config, out_dir=args.out, threads=threads)
+            manifest = run_scenario(args.config, out_dir=args.out)
             print(f"wrote {manifest.output_dir}/manifest.json "
                   f"({len(manifest.files)} files, {manifest.wall_time_s:.2f}s)")
             return EXIT_OK

@@ -68,7 +68,7 @@ def _close_approaches(system, theta, tau_max, tol, capture_radius, tau_min=0.05)
     radial_min.direction = 1.0
     y0 = launch_from_nucleus(theta).as_array()
     res = solve_ivp(lambda t, y: _flow(y, system.epsilon), (0.0, tau_max), y0, method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True, events=[radial_min])
+                    rtol=tol, atol=tol, events=[radial_min])
     if res.status < 0:
         raise IntegrationError(res.message)
     out = []
@@ -79,7 +79,7 @@ def _close_approaches(system, theta, tau_max, tol, capture_radius, tau_min=0.05)
         if r < capture_radius:
             miss = ye[0] * ye[3] - ye[1] * ye[2]
             out.append((float(te), r, float(miss)))
-    return out, res.sol
+    return out
 
 
 def _polish_return(system, theta, tau_guess, tol):
@@ -182,7 +182,7 @@ def find_closed_orbits(
         raise DomainError("closed-orbit search needs a bound regime (epsilon < 0)")
     angles = np.linspace(0.0, math.pi / 2.0, n_angles + 1)
     grid_step = angles[1] - angles[0]
-    scan = {th: _close_approaches(system, th, tau_max, tol, capture_radius)[0]
+    scan = {th: _close_approaches(system, th, tau_max, tol, capture_radius)
             for th in angles}
 
     found = []  # (theta, tau_period)
@@ -196,7 +196,7 @@ def find_closed_orbits(
                 found.append((th, tau_star))
 
     def tracked_miss(theta, tau_ref):
-        approaches, _ = _close_approaches(system, theta, tau_max, tol, capture_radius)
+        approaches = _close_approaches(system, theta, tau_max, tol, capture_radius)
         near = [a for a in approaches if abs(a[0] - tau_ref) < match_window]
         if not near:
             return None
@@ -271,8 +271,8 @@ def continue_orbit(system: DiamagneticSystem, orbit: ClosedOrbit,
         tau_track = {"tau": orbit.tau_period}
 
         def f(theta):
-            approaches, _ = _close_approaches(system, theta, orbit.tau_period * 1.3,
-                                              tol, 0.5)
+            approaches = _close_approaches(system, theta, orbit.tau_period * 1.3,
+                                           tol, 0.5)
             near = [a for a in approaches if abs(a[0] - tau_track["tau"]) < 0.35]
             if not near:
                 raise IntegrationError("lost the closure during continuation")

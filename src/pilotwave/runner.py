@@ -236,13 +236,11 @@ _RUNNERS = {
 }
 
 
-def run_scenario(config_path, out_dir=None, threads: int | None = None) -> RunManifest:
+def run_scenario(config_path, out_dir=None) -> RunManifest:
     """Validate and execute one scenario; write outputs and manifest.json.
 
     Identical configs produce identical data-file checksums; the manifest
-    records them.  `threads` is accepted for forward compatibility of the
-    CLI surface and recorded in the manifest (current pipelines are
-    sequential and deterministic).
+    records them.
     """
     scn = load_scenario(config_path)
     out = Path(out_dir) if out_dir else Path(scn.output_dir or scn.name)
@@ -266,14 +264,7 @@ def run_scenario(config_path, out_dir=None, threads: int | None = None) -> RunMa
         output_dir=str(out),
         files=[{"path": p.name, "sha256": _sha256(p)} for p in produced],
     )
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError("threads", "must be at least 1")
-        manifest_dict = manifest.to_dict()
-        manifest_dict["threads"] = threads
-    else:
-        manifest_dict = manifest.to_dict()
-    _write_json(out / "manifest.json", manifest_dict)
+    _write_json(out / "manifest.json", manifest.to_dict())
     return manifest
 
 

@@ -142,7 +142,12 @@ def van_vleck_1d(system: SolvableSystem, x1: float, x2: float, dt: float,
     hbar, m = system.constants.hbar, system.constants.mass
 
     if p_max is None:
-        kinematic = m * (abs(x1) + abs(x2) + abs(x2 - x1) + 1.0) / dt
+        # an oscillator path needs p0 = m w |x2 - x1 cos wt| / |sin wt|, which
+        # grows without bound toward a caustic: its travel time is |sin wt|/w
+        travel = dt
+        if system.kind == "harmonic":
+            travel = abs(math.sin(system.omegas[0] * dt)) / system.omegas[0]
+        kinematic = m * (abs(x1) + abs(x2) + abs(x2 - x1) + 1.0) / travel
         v_scale = max(float(system.potential(np.asarray(x1))),
                       float(system.potential(np.asarray(x2))), 1.0)
         p_max = 10.0 * (kinematic + math.sqrt(2.0 * m * v_scale))

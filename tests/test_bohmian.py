@@ -156,6 +156,30 @@ def test_bohmian_lyapunov_two_mode_regular(two_mode_box):
     assert est.value <= 0.01
 
 
+# |psi| falls from 1.17 at x = 0.4, t = 0 to about 1.07 within t < 0.5 on
+# this state, so a guard level of 1.1 is crossed early in the run
+CROSSED_LEVEL = 1.1
+
+
+def test_node_halt_ends_trajectory(monkeypatch, two_mode_box_complex):
+    monkeypatch.setattr(bm, "_node_threshold", lambda sup: CROSSED_LEVEL)
+    traj = bm.integrate_bohmian(two_mode_box_complex, [0.4], (0.0, 1.0))
+    assert len(traj.node_encounters) == 1
+    hit = traj.node_encounters[0]
+    assert not traj.complete
+    assert traj.times[-1] == hit["t"] < 1.0
+    assert traj.positions[-1] == hit["x"][0]
+    assert abs(hit["rho"] - CROSSED_LEVEL) < 1e-9
+    assert np.all(np.diff(traj.times) > 0)
+
+
+def test_bohmian_lyapunov_node_halt_is_partial(monkeypatch, two_mode_box_complex):
+    monkeypatch.setattr(bm, "_node_threshold", lambda sup: CROSSED_LEVEL)
+    est = bm.bohmian_lyapunov(two_mode_box_complex, [0.4], horizon=2.0)
+    assert est.partial
+    assert 0.0 < est.horizon < 2.0
+
+
 def test_circulation_no_node(vortex_plus):
     res = bm.circulation(vortex_plus, ngon((1.6, 1.6), 0.3), 0.0)
     assert res.winding == 0

@@ -5,10 +5,11 @@ import pytest
 from conftest import scan_segments
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from pilotwave import classical as cl
 from pilotwave import systems as sy
-from pilotwave.errors import DomainError
+from pilotwave.errors import DomainError, IntegrationError
 
 
 def test_rest_point_symmetry():
@@ -93,6 +94,23 @@ def test_box_bounce_conserves_energy(box1d):
     traj = cl.integrate_classical(box1d, sy.PhaseState((0.3,), (1.7,)), 5.0, tol=1e-10)
     assert traj.drift < 1e-8
     assert np.all((traj.states[:, 0] >= -1e-12) & (traj.states[:, 0] <= 1.0 + 1e-12))
+
+
+def test_event_restart_limit_keeps_partial_samples():
+    """An event that refires after every restart exhausts the restart limit."""
+    def half(t, y):
+        return y[0] - 0.5
+
+    half.terminal = True
+    # unit drift from 0, sent back by 1 at each crossing of 0.5: fires at t = 0.5, 1.5, 2.5
+    with pytest.raises(IntegrationError) as err:
+        cl._integrate_events(solve_ivp, lambda t, y: np.ones(1), (0.0, 100.0), np.zeros(1),
+                             [half], lambda k, t, y: y - 1.0, 3, "RK45", 1e-9, np.inf)
+    times, states = err.value.partial
+    assert np.all(np.diff(times) > 0)  # each restart sample listed once
+    assert times[0] == 0.0
+    assert abs(times[-1] - 2.5) < 1e-9
+    assert abs(states[-1, 0] - 0.5) < 1e-9
 
 
 def test_accessible_boundary_closed_curve():

@@ -242,16 +242,6 @@ def test_emit_plot_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    cfg = _write(tmp_path / "c.json", _classical_doc())
-    monkeypatch.setenv("PILOTWAVE_THREADS", "2")
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["threads"] == 2
-    monkeypatch.setenv("PILOTWAVE_THREADS", "zebra")
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "o2")]) == 2
-
-
 def test_load_scenario_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -69,6 +69,21 @@ def test_van_vleck_harmonic_pre_caustic():
         assert abs(k.value - exact) / abs(exact) < 1e-10
 
 
+@pytest.mark.parametrize("x1, x2, dt", [
+    (1.7603374584869138, 1.6685860224813858, 2.3390768623173903),
+    (-1.1869522462598976, -0.8972548242366546, 2.3561138550214666),
+    (1.264024430177858, 1.6296015739760439, 2.36028057522698),
+    (-0.6245906983119565, -0.7408722644380477, 2.3621189185760554),
+])
+def test_van_vleck_harmonic_near_caustic(x1, x2, dt):
+    """Close to w dt = pi the one path's momentum exceeds a scan sized by dt alone."""
+    ho = sy.harmonic(1.3)
+    k = sc.van_vleck_1d(ho, x1, x2, dt)
+    exact = sc.exact_propagator_1d(ho, x1, x2, dt)
+    assert k.contributing_paths == 1
+    assert abs(k.value - exact) / abs(exact) < 1e-9
+
+
 def test_van_vleck_caustic_phase():
     """One conjugate point past dt = pi/omega shifts the phase by -pi/2."""
     w = 1.3

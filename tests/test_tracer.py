@@ -1,0 +1,39 @@
+"""The benchmark tracer still finds every binding it patches in pilotwave."""
+
+import importlib.util
+from pathlib import Path
+
+from pilotwave import bohmian as bm
+from pilotwave import classical as cl
+from pilotwave import quantum as qm
+from pilotwave import runner
+from pilotwave import systems as sy
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_integrations_per_module(two_mode_box_complex):
+    originals = [(bm, "solve_ivp"), (cl, "solve_ivp"), (bm, "integrate_bohmian"),
+                 (cl, "lyapunov_exponent"), (runner, "integrate_bohmian"),
+                 (qm, "evaluate_wavefunction"), (bm, "evaluate_wavefunction")]
+    before = [getattr(mod, name) for mod, name in originals]
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        bm.integrate_bohmian(two_mode_box_complex, [0.4], (0.0, 0.2))
+        cl.lyapunov_exponent(sy.harmonic(1.0), sy.PhaseState((1.0,), (0.0,)), horizon=2.0)
+        metrics = tracer.metrics(1)
+    finally:
+        tracer.uninstall()
+    assert metrics["integrate.bohmian.nfev"] > 0
+    assert metrics["integrate.classical.nfev"] > 0
+    assert metrics["bohmian.trajectory_s"] > 0
+    assert metrics["classical.lyapunov_s"] > 0
+    assert [getattr(mod, name) for mod, name in originals] == before
