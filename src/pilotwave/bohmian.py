@@ -20,8 +20,10 @@ from .errors import DomainError, NodeSingularityError, PilotwaveError
 from .quantum import (
     NODE_THRESHOLD_FACTOR,
     Superposition,
+    _polar,
     amplitude_scale,
     evaluate_wavefunction,
+    phase_gradient,
     wavefield_sample,
 )
 
@@ -41,13 +43,34 @@ __all__ = [
 CIRCULATION_GUARD_FACTOR = 1e-7
 
 
-def _velocity_raw(sup: Superposition, x, t: float) -> np.ndarray:
-    """Velocity as an array, no node guard; x is a length-D array."""
-    hbar, m = sup.system.constants.hbar, sup.system.constants.mass
-    xx = x[0] if sup.system.dimension == 1 else x
-    psi, grad, _ = evaluate_wavefunction(sup, xx, t)
-    rho2 = abs(psi) ** 2
-    return hbar * np.imag(np.conjugate(psi) * np.atleast_1d(grad)) / (m * rho2)
+def _guidance(sup: Superposition, x, t: float):
+    """(v, |psi|) at stacked points x of shape (..., D), with no node guard.
+
+    Box points are evaluated 1e-12 L inside the walls: Runge-Kutta trial
+    stages may poke just outside, and the exact flow cannot leave the domain.
+    """
+    system = sup.system
+    if system.kind == "box":
+        pad = 1e-12 * max(system.lengths)
+        x = np.minimum(np.maximum(x, pad), np.subtract(system.lengths, pad))  # np.clip is slow
+    psi, grad, _ = evaluate_wavefunction(sup, x[..., 0] if system.dimension == 1 else x, t)
+    if system.dimension == 1:
+        grad = grad[..., None]
+    return phase_gradient(psi, grad, system.constants.hbar) / system.constants.mass, np.abs(psi)
+
+
+def _sampled_fields(sup: Superposition, x, t):
+    """(rho, Q, grad sigma, bad) at stacked points x of shape (..., D), one time each.
+
+    bad marks exact nodes and overflow, where the polar fields are undefined.
+    """
+    d = sup.system.dimension
+    psi, grad, lap = evaluate_wavefunction(sup, x[..., 0] if d == 1 else x, t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho, _, grad_sigma, Q = _polar(psi, grad[..., None] if d == 1 else grad, lap,
+                                       sup.system.constants)
+    bad = (rho == 0.0) | ~np.isfinite(Q) | ~np.all(np.isfinite(grad_sigma), axis=-1)
+    return rho, Q, grad_sigma, bad
 
 
 def velocity_field(sup: Superposition, x, t: float):
@@ -137,16 +160,15 @@ def integrate_bohmian(
         raise DomainError(f"x0 {x0} outside domain")
     threshold = _node_threshold(sup)
 
-    psi0, _, _ = evaluate_wavefunction(sup, x0[0] if d == 1 else x0, t0)
-    if abs(psi0) <= threshold:
-        raise NodeSingularityError(x0, t0, abs(psi0), "x0 inside node guard band")
+    amp0 = float(_guidance(sup, x0, t0)[1])
+    if amp0 <= threshold:
+        raise NodeSingularityError(x0, t0, amp0, "x0 inside node guard band")
 
     def rhs(t, y):
-        return _velocity_raw(sup, y, t)
+        return _guidance(sup, y, t)[0]
 
     def node_event(t, y):
-        psi, _, _ = evaluate_wavefunction(sup, y[0] if d == 1 else y, t)
-        return abs(psi) - threshold
+        return _guidance(sup, y, t)[1] - threshold
 
     node_event.terminal = True
     walls = _wall_events(system)
@@ -154,8 +176,8 @@ def integrate_bohmian(
 
     def on_event(k, t, y):
         if k == 0:
-            psi, _, _ = evaluate_wavefunction(sup, y[0] if d == 1 else y, t)
-            node_encounters.append({"t": float(t), "x": y.tolist(), "rho": float(abs(psi))})
+            amp = float(_guidance(sup, y, t)[1])
+            node_encounters.append({"t": float(t), "x": y.tolist(), "rho": amp})
             return None
         i, wall, _ = walls[k - 1]
         wall_breaches.append({"t": float(t), "x": y.tolist(), "axis": i})
@@ -166,21 +188,10 @@ def integrate_bohmian(
     times, positions, segments = _integrate_events(
         solve_ivp, rhs, (t0, t1), x0, [node_event] + [e for _, _, e in walls], on_event,
         200, method, tol, min(max_step, span / 32) if span > 0 else max_step)
+    rho, qv, grad_sigma, bad = _sampled_fields(sup, positions, times)
+    velocities = grad_sigma / system.constants.mass
+    velocities[bad], qv[bad], rho[bad] = np.nan, np.nan, 0.0  # exact node or overflow
     n = times.size
-    velocities = np.empty_like(positions)
-    qv = np.empty(n)
-    rho = np.empty(n)
-    for i in range(n):
-        xi = positions[i]
-        try:
-            s = wavefield_sample(sup, xi[0] if d == 1 else xi, times[i])
-            velocities[i] = s.grad_sigma / system.constants.mass
-            qv[i] = s.Q
-            rho[i] = s.rho
-        except NodeSingularityError:
-            velocities[i] = np.nan
-            qv[i] = np.nan
-            rho[i] = 0.0
     min_step = float(np.min(np.abs(np.diff(times)))) if n > 1 else math.inf
     return BohmianTrajectory(
         times=times,
@@ -222,23 +233,18 @@ def newtonian_residual(traj: BohmianTrajectory, sup: Superposition,
         -xx2[:-4] + 16.0 * xx2[1:-3] - 30.0 * xx2[2:-2] + 16.0 * xx2[3:-1] - xx2[4:]
     ) / (12.0 * dt**2)
 
-    def grad_vq(x, t):
-        gv = np.atleast_1d(system.potential_gradient(x if d == 2 else x[0]))
-        gq = np.empty(d)
-        for i in range(d):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += grad_step
-            xm[i] -= grad_step
-            qp = wavefield_sample(sup, xp[0] if d == 1 else xp, t).Q
-            qm = wavefield_sample(sup, xm[0] if d == 1 else xm, t).Q
-            gq[i] = (qp - qm) / (2.0 * grad_step)
-        return gv + gq
-
-    worst = 0.0
-    for i in range(2, n_samples - 2):
-        force = grad_vq(xx2[i], tt[i])
-        worst = max(worst, float(np.max(np.abs(m * acc[i - 2] + force))))
-    return worst
+    # Q at x +- grad_step along each axis: stencil (sample, sign, axis, D)
+    x = xx2[2:-2]
+    steps = grad_step * np.eye(d)
+    stencil = np.stack([x[:, None, :] + steps, x[:, None, :] - steps], axis=1)
+    rho, q, _, bad = _sampled_fields(sup, stencil, tt[2:-2, None, None])
+    if np.any(bad):
+        k = np.argwhere(bad)[0]
+        raise NodeSingularityError(stencil[tuple(k)], tt[2 + k[0]], float(rho[tuple(k)]),
+                                   "newtonian residual stencil touches a node")
+    gq = (q[:, 0] - q[:, 1]) / (2.0 * grad_step)
+    gv = system.potential_gradient(x if d == 2 else x[:, 0]).reshape(-1, d)
+    return float(np.max(np.abs(m * acc + (gv + gq)), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -267,17 +273,14 @@ def bohmian_lyapunov(
     growth rate is returned.  A node halt yields a partial estimate with the
     flag set.
     """
-    d = sup.system.dimension
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     threshold = _node_threshold(sup)
 
     def one(t, x):
-        return _velocity_raw(sup, x, t)
+        return _guidance(sup, x, t)[0]
 
     def node_event(t, y):
-        pa, _, _ = evaluate_wavefunction(sup, y[0] if d == 1 else y[:d], t)
-        pb, _, _ = evaluate_wavefunction(sup, y[d] if d == 1 else y[d:], t)
-        return min(abs(pa), abs(pb)) - threshold
+        return np.min(_guidance(sup, y.reshape(2, -1), t)[1]) - threshold  # both members
 
     node_event.terminal = True
     log_sum, elapsed, n_renorm, partial, _ = _renormalized_pair(
@@ -319,19 +322,17 @@ def circulation(sup: Superposition, loop, t: float,
     for a, b in zip(loop[:-1], loop[1:]):
         ss = np.linspace(0.0, 1.0, 64)
         pts = a[None, :] + ss[:, None] * (b - a)[None, :]
-        psi, _, _ = evaluate_wavefunction(sup, pts, t)
-        if np.min(np.abs(psi)) < guard:
-            raise NodeSingularityError(
-                pts[np.argmin(np.abs(psi))], t, float(np.min(np.abs(psi))),
-                "loop intersects node guard band; reroute failed",
-            )
+        amp = np.abs(evaluate_wavefunction(sup, pts, t)[0])
+        if np.min(amp) < guard:
+            raise NodeSingularityError(pts[np.argmin(amp)], t, float(np.min(amp)),
+                                       "loop intersects node guard band; reroute failed")
 
     total = 0.0
     for a, b in zip(loop[:-1], loop[1:]):
         dl = b - a
 
         def integrand(s, a=a, dl=dl):
-            v = _velocity_raw(sup, a + s * dl, t)
+            v = _guidance(sup, a + s * dl, t)[0]
             return float(v @ dl)
 
         val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)

@@ -8,13 +8,12 @@ equation (equivariance).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .bohmian import _node_threshold, integrate_bohmian
+from .bohmian import _guidance, _node_threshold, integrate_bohmian
 from .csvio import write_csv
 from .errors import DomainError, IntegrationError, PilotwaveError
 from .quantum import Superposition, effective_domain, evaluate_wavefunction
@@ -103,89 +102,63 @@ class EnsembleEvolution:
     node_reports: list = field(default_factory=list)
 
 
-def evolve_ensemble(
-    ensemble: Ensemble,
-    sup: Superposition,
-    t1: float,
-    tol: float = 1e-6,
-    mode: str = "auto",
-) -> EnsembleEvolution:
-    """Advance every member along the guidance flow to time t1.
+def _per_member(positions: np.ndarray, sup: Superposition, t0: float, t1: float, tol: float):
+    """Each member in its own adaptive integration; failures are reported, not fatal."""
+    out = np.empty_like(positions)
+    reports = []
+    for i in range(positions.shape[0]):
+        try:
+            traj = integrate_bohmian(sup, np.atleast_1d(positions[i]), (t0, t1), tol=tol)
+            out[i] = traj.positions[-1]
+            for enc in traj.node_encounters:
+                reports.append({"member_id": i, **enc})
+        except PilotwaveError as exc:
+            out[i] = positions[i]
+            reports.append({"member_id": i, "t": t0, "error": str(exc)})
+    return out, reports
 
-    mode "per_member" advances each position with its own adaptive
-    integration and collects node-encounter reports; mode "vectorized" (the
-    default above 256 members) advances all members jointly with shared step
-    control, which evaluates the wavefield in batch and is orders of
-    magnitude faster at ensemble scale.  Member order is preserved in both
-    modes.
+
+def _stacked(positions: np.ndarray, sup: Superposition, t0: float, t1: float, tol: float):
+    """All members in one integration with shared step control.
+
+    Members within 10^3 node thresholds are reported at their first such
+    evaluation and get zero velocity while they stay there.
     """
-    d = sup.system.dimension
-    t0 = ensemble.t
-    if ensemble.size == 0 or t1 == t0:
-        return EnsembleEvolution(Ensemble(ensemble.seed, ensemble.positions.copy(), t1))
-    if mode == "auto":
-        mode = "vectorized" if ensemble.size > 256 else "per_member"
-
-    if mode == "per_member":
-        out = np.empty_like(ensemble.positions)
-        reports = []
-        for i in range(ensemble.size):
-            x0 = np.atleast_1d(ensemble.positions[i])
-            try:
-                traj = integrate_bohmian(sup, x0, (t0, t1), tol=tol)
-                out[i] = traj.positions[-1]
-                for enc in traj.node_encounters:
-                    reports.append({"member_id": i, **enc})
-            except PilotwaveError as exc:  # flagged, not fatal
-                out[i] = ensemble.positions[i]
-                reports.append({"member_id": i, "t": t0, "error": str(exc)})
-        return EnsembleEvolution(Ensemble(ensemble.seed, out, t1), reports)
-
-    if mode != "vectorized":
-        raise DomainError(f"unknown evolution mode {mode!r}")
-
-    n = ensemble.size
-    y0 = ensemble.positions.reshape(-1)
-    hbar, m = sup.system.constants.hbar, sup.system.constants.mass
-    floor = (_node_threshold(sup) * 1e3) ** 2
+    n, d = positions.shape[0], sup.system.dimension
+    floor = _node_threshold(sup) * 1e3
     flagged: dict[int, dict] = {}
-    if sup.system.kind == "box":
-        # trial Runge-Kutta stages may poke just outside the walls; evaluate
-        # at the clamped point (the exact flow cannot leave the domain)
-        lo, hi = effective_domain(sup)
-        pad = 1e-12 * np.max(hi - lo)
-        clamp = lambda p: np.clip(p, lo + pad if d == 2 else lo[0] + pad,  # noqa: E731
-                                  hi - pad if d == 2 else hi[0] - pad)
-    else:
-        clamp = lambda p: p  # noqa: E731
 
     def rhs(t, y):
-        pts = clamp(y.reshape(n, d) if d == 2 else y)
-        psi, grad, _ = evaluate_wavefunction(sup, pts, t)
-        rho2 = np.abs(psi) ** 2
-        bad = rho2 < floor
-        if np.any(bad):
-            for idx in np.nonzero(bad)[0]:
-                flagged.setdefault(int(idx), {
-                    "member_id": int(idx),
-                    "t": float(t),
-                    "x": np.atleast_1d(pts[idx]).tolist(),
-                    "rho": float(math.sqrt(rho2[idx])),
-                })
-            rho2 = np.where(bad, 1.0, rho2)
-        if d == 1:
-            v = hbar * np.imag(np.conjugate(psi) * grad) / (m * rho2)
-            v = np.where(bad, 0.0, v)
-            return v
-        v = hbar * np.imag(np.conjugate(psi)[:, None] * grad) / (m * rho2[:, None])
+        pts = y.reshape(n, d)
+        v, amp = _guidance(sup, pts, t)
+        bad = amp < floor
+        for idx in np.nonzero(bad)[0]:
+            flagged.setdefault(int(idx), {"member_id": int(idx), "t": float(t),
+                                          "x": pts[idx].tolist(), "rho": float(amp[idx])})
         v[bad] = 0.0
         return v.reshape(-1)
 
-    res = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=tol, atol=tol)
+    res = solve_ivp(rhs, (t0, t1), positions.reshape(-1), method="RK45", rtol=tol, atol=tol)
     if res.status < 0:
         raise IntegrationError(res.message)
-    out = res.y[:, -1].reshape(n, d) if d == 2 else res.y[:, -1]
-    reports = [flagged[k] for k in sorted(flagged)]
+    out = res.y[:, -1].reshape(positions.shape)
+    return out, [flagged[k] for k in sorted(flagged)]
+
+
+def evolve_ensemble(ensemble: Ensemble, sup: Superposition, t1: float,
+                    tol: float = 1e-6) -> EnsembleEvolution:
+    """Advance every member along the guidance flow to time t1.
+
+    Up to 256 members, each position advances with its own adaptive
+    integration and node-encounter reports are collected.  Above that, all
+    members advance jointly with shared step control, which evaluates the
+    wavefield in batch and is orders of magnitude faster at ensemble scale.
+    Member order is preserved either way.
+    """
+    if ensemble.size == 0 or t1 == ensemble.t:
+        return EnsembleEvolution(Ensemble(ensemble.seed, ensemble.positions.copy(), t1))
+    transport = _stacked if ensemble.size > 256 else _per_member
+    out, reports = transport(ensemble.positions, sup, ensemble.t, t1, tol)
     return EnsembleEvolution(Ensemble(ensemble.seed, out, t1), reports)
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "Superposition",
     "evaluate_wavefunction",
     "WavefieldSample",
+    "phase_gradient",
     "polar_fields",
     "wavefield_sample",
     "amplitude_scale",
@@ -227,18 +228,24 @@ class Superposition:
         return bool(np.all(energies == energies[0]))
 
 
-def evaluate_wavefunction(sup: Superposition, x, t: float):
-    """psi, grad psi and laplacian psi of the exact time-evolved superposition."""
+def evaluate_wavefunction(sup: Superposition, x, t):
+    """psi, grad psi and laplacian psi of the exact time-evolved superposition.
+
+    t is one time, or an array that broadcasts over the points (one time each).
+    """
     hbar = sup.system.constants.hbar
+    per_point_2d = sup.system.dimension == 2 and np.ndim(t) > 0
     psi = grad = lap = None
     for c, st in sup.terms:
         v, g, l = eigenfunction(sup.system, st, x)
-        w = c * np.exp(-1j * st.energy * t / hbar)
+        # real phase first: Python and numpy round a complex / float differently
+        w = c * np.exp(-1j * (st.energy * t / hbar))
+        wg = w[..., None] if per_point_2d else w  # times broadcast over the gradient axis
         if psi is None:
-            psi, grad, lap = w * v, w * g, w * l
+            psi, grad, lap = w * v, wg * g, w * l
         else:
             psi = psi + w * v
-            grad = grad + w * g
+            grad = grad + wg * g
             lap = lap + w * l
     return psi, grad, lap
 
@@ -263,35 +270,51 @@ class WavefieldSample:
     node_flag: bool = False
 
 
+def phase_gradient(psi, grad_psi, hbar: float):
+    """grad sigma = hbar Im(psi* grad psi) / |psi|^2, gradients on a trailing axis.
+
+    Any number of points; the guidance velocity is this over the mass.
+    """
+    psi = np.asarray(psi)[..., None]
+    return hbar * np.imag(np.conjugate(psi) * grad_psi) / np.abs(psi) ** 2
+
+
+def _polar(psi, grad, lap, constants: SystemConstants):
+    """(rho, sigma, grad sigma, Q) at any number of points, grad on a trailing axis.
+
+    rho and its derivatives come from differentiating rho^2 = psi psi*
+    exactly, never from grid differences, so Q inherits the accuracy of the
+    analytic psi derivatives.
+    """
+    hbar, m = constants.hbar, constants.mass
+    rho = np.abs(psi)
+    sigma = hbar * np.arctan2(np.imag(psi), np.real(psi))
+    conj = np.conjugate(psi)
+    grad_rho = np.real(conj[..., None] * grad) / rho[..., None]
+    lap_rho = (np.real(conj * lap) + np.sum(np.abs(grad) ** 2, axis=-1)
+               - np.sum(grad_rho * grad_rho, axis=-1)) / rho
+    Q = -(hbar**2) / (2.0 * m) * lap_rho / rho
+    return rho, sigma, phase_gradient(psi, grad, hbar), Q
+
+
 def polar_fields(raw, constants: SystemConstants, node_scale: float = 1.0,
                  x=None, t: float = 0.0) -> WavefieldSample:
     """Decompose (psi, grad psi, lap psi) at one point into the polar fields.
 
-    rho and its derivatives come from differentiating rho^2 = psi psi*
-    exactly, never from grid differences, so Q inherits the accuracy of the
-    analytic psi derivatives.  `node_scale` sets the amplitude unit for the
-    node guard.
+    `node_scale` sets the amplitude unit for the node guard.
     """
     psi, grad_psi, lap_psi = raw
     psi = complex(psi)
     grad_psi = np.atleast_1d(np.asarray(grad_psi, dtype=complex))
     lap_psi = complex(lap_psi)
-    hbar, m = constants.hbar, constants.mass
-
-    rho = abs(psi)
-    if rho == 0.0:
+    if psi == 0.0:
         raise NodeSingularityError(x, t, 0.0, "exact node: sigma, v and Q undefined")
-    node_flag = rho < NODE_THRESHOLD_FACTOR * node_scale
-
-    sigma = hbar * math.atan2(psi.imag, psi.real)
-    conj = psi.conjugate()
-    grad_sigma = hbar * np.imag(conj * grad_psi) / rho**2
-    grad_rho = np.real(conj * grad_psi) / rho
-    lap_rho = (np.real(conj * lap_psi) + np.sum(np.abs(grad_psi) ** 2) - grad_rho @ grad_rho) / rho
-    Q = -(hbar**2) / (2.0 * m) * lap_rho / rho
+    rho, sigma, grad_sigma, Q = _polar(np.asarray(psi), grad_psi, np.asarray(lap_psi), constants)
+    rho = float(rho)
     if not (np.isfinite(Q) and np.all(np.isfinite(grad_sigma))):
         raise NodeSingularityError(x, t, rho, "polar fields overflow near node")
-    return WavefieldSample(psi, grad_psi, lap_psi, rho, sigma, grad_sigma, Q, node_flag)
+    return WavefieldSample(psi, grad_psi, lap_psi, rho, float(sigma), grad_sigma, float(Q),
+                           rho < NODE_THRESHOLD_FACTOR * node_scale)
 
 
 def wavefield_sample(sup: Superposition, x, t: float) -> WavefieldSample:

@@ -88,3 +88,35 @@ def scan_segments(segments, t):
         if min(lo, hi) - 1e-12 <= t <= max(lo, hi) + 1e-12:
             return sol(t)
     return None
+
+
+def newtonian_residual_loop(traj, sup, n_samples=2001, grad_step=1e-5):
+    """Reference Newtonian-form residual: one wavefield_sample per stencil point.
+
+    Same five-point acceleration as bohmian.newtonian_residual; grad Q is a
+    central difference of wavefield_sample(...).Q taken sample by sample.
+    """
+    system = sup.system
+    d = system.dimension
+    m = system.constants.mass
+    tt = np.linspace(traj.times[0], traj.times[-1], n_samples)
+    dt = tt[1] - tt[0]
+    xx = traj.at(tt)
+    xx2 = xx[:, None] if d == 1 else xx
+    acc = (
+        -xx2[:-4] + 16.0 * xx2[1:-3] - 30.0 * xx2[2:-2] + 16.0 * xx2[3:-1] - xx2[4:]
+    ) / (12.0 * dt**2)
+    worst = 0.0
+    for i in range(2, n_samples - 2):
+        x, t = xx2[i], tt[i]
+        gv = np.atleast_1d(system.potential_gradient(x if d == 2 else x[0]))
+        gq = np.empty(d)
+        for k in range(d):
+            xp, xm = x.copy(), x.copy()
+            xp[k] += grad_step
+            xm[k] -= grad_step
+            qp = qm.wavefield_sample(sup, xp[0] if d == 1 else xp, t).Q
+            qn = qm.wavefield_sample(sup, xm[0] if d == 1 else xm, t).Q
+            gq[k] = (qp - qn) / (2.0 * grad_step)
+        worst = max(worst, float(np.max(np.abs(m * acc[i - 2] + (gv + gq)))))
+    return worst

@@ -57,6 +57,17 @@ def test_node_guard_raises(box1d):
         bm.integrate_bohmian(sup, [0.5], (0.0, 1.0))
 
 
+@pytest.mark.parametrize("tol", [1e-3, 1e-5])
+@pytest.mark.parametrize("x0", [0.001, 0.01, 0.99])
+def test_start_near_wall_stays_in_box(two_mode_box, x0, tol):
+    """Trial stages past a wall see the field just inside it instead of raising.
+
+    At tol 1e-3 the runs end at the node guard, since the wall is a node.
+    """
+    traj = bm.integrate_bohmian(two_mode_box, [x0], (0.0, 5.0), tol=tol)
+    assert np.all((traj.positions >= 0.0) & (traj.positions <= 1.0))
+
+
 def test_eigenstate_rest(box1d):
     sup = qm.Superposition.of(box1d, [(1.0, 3)])
     traj = bm.integrate_bohmian(sup, [0.2], (0.0, 100.0), tol=1e-9)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 from pilotwave import bohmian as bm
 from pilotwave import classical as cl
+from pilotwave import ensembles as en
 from pilotwave import quantum as qm
 from pilotwave import runner
 from pilotwave import systems as sy
@@ -20,20 +21,30 @@ def _load_tracer():
 
 
 def test_tracer_counts_integrations_per_module(two_mode_box_complex):
-    originals = [(bm, "solve_ivp"), (cl, "solve_ivp"), (bm, "integrate_bohmian"),
-                 (cl, "lyapunov_exponent"), (runner, "integrate_bohmian"),
-                 (qm, "evaluate_wavefunction"), (bm, "evaluate_wavefunction")]
+    originals = [(bm, "solve_ivp"), (cl, "solve_ivp"), (en, "solve_ivp"),
+                 (bm, "integrate_bohmian"), (cl, "lyapunov_exponent"),
+                 (runner, "integrate_bohmian"), (en, "evolve_ensemble"),
+                 (qm, "evaluate_wavefunction"), (bm, "evaluate_wavefunction"),
+                 (qm, "wavefield_sample"), (bm, "wavefield_sample")]
+    # above 256 members the ensemble moves in one stacked integration
+    ens = en.sample_quantum_equilibrium(two_mode_box_complex, 0.0, 300, seed=1)
     before = [getattr(mod, name) for mod, name in originals]
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
         bm.integrate_bohmian(two_mode_box_complex, [0.4], (0.0, 0.2))
         cl.lyapunov_exponent(sy.harmonic(1.0), sy.PhaseState((1.0,), (0.0,)), horizon=2.0)
+        en.evolve_ensemble(ens, two_mode_box_complex, 0.1)
+        bm.velocity_field(two_mode_box_complex, 0.3, 0.1)
         metrics = tracer.metrics(1)
     finally:
         tracer.uninstall()
     assert metrics["integrate.bohmian.nfev"] > 0
     assert metrics["integrate.classical.nfev"] > 0
+    assert metrics["integrate.ensembles.nfev"] > 0
+    assert metrics["quantum.eval_calls"] > 0
+    assert metrics["quantum.sample_calls"] > 0
+    assert metrics["ensembles.evolve_s"] > 0
     assert metrics["bohmian.trajectory_s"] > 0
     assert metrics["classical.lyapunov_s"] > 0
     assert [getattr(mod, name) for mod, name in originals] == before
