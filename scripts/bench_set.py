@@ -1,0 +1,144 @@
+"""Paired benchmark runs of two checkouts, written as BENCH_<n>.json files.
+
+    python3 scripts/bench_set.py run --base DIR --head DIR --seeds 11-20 --out runs.jsonl
+    python3 scripts/bench_set.py write runs.jsonl --base BENCH_5.json --head BENCH_6.json
+
+`run` calls `perfbench/run.py --workload W --seed S --seconds 25 --trace 0`
+in each checkout, for every workload of `BENCHMARK.json` and every seed,
+alternating which checkout goes first, and appends one JSON line per run.
+Each line carries the machine (nproc, Python, numpy, scipy) and a sha256
+of the checkout's `src/` tree, so a file can be matched to the code it
+measured.  `write` turns the lines into one file per side, with each run
+and the median and quartiles of every end-to-end metric, and prints how
+often the head beat the base on the same seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 25
+
+
+def source_digest(checkout: Path) -> str:
+    """sha256 over the paths and bytes of every file under src/, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def machine() -> dict:
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "platform": platform.platform()}
+
+
+def seed_range(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def run(args) -> None:
+    sides = {"base": Path(args.base).resolve(), "head": Path(args.head).resolve()}
+    digests = {side: source_digest(path) for side, path in sides.items()}
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    for workload in workloads:
+        for i, seed in enumerate(seed_range(args.seeds)):
+            for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+                       "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+                proc = subprocess.run(cmd, cwd=sides[side], capture_output=True, text=True)
+                lines = proc.stdout.strip().splitlines()
+                record = {"side": side, "workload": workload, "seed": seed,
+                          "src_sha256": digests[side], "machine": machine(),
+                          "returncode": proc.returncode,
+                          "result": json.loads(lines[-1]) if lines else None}
+                with open(args.out, "a") as fh:
+                    fh.write(json.dumps(record) + "\n")
+
+
+def summary(records: list[dict], units: dict) -> dict:
+    runs = [{"seed": r["seed"], "correct": r["result"]["correct"],
+             "attempted": r["result"]["attempted"], "failed": r["result"]["failed"],
+             "metrics": {k: v["value"] for k, v in r["result"]["metrics"].items()}}
+            for r in records]
+    stats = {}
+    for name, unit in units.items():
+        q1, median, q3 = np.percentile([run["metrics"][name] for run in runs], [25, 50, 75])
+        stats[name] = {"unit": unit, "median": round(float(median), 6),
+                       "q1": round(float(q1), 6), "q3": round(float(q3), 6)}
+    return {"runs": runs, "all_correct": all(run["correct"] for run in runs),
+            "operations_attempted": sum(run["attempted"] for run in runs),
+            "operations_failed": sum(run["failed"] for run in runs), "summary": stats}
+
+
+def write(args) -> None:
+    records = [json.loads(line) for line in open(args.runs)]
+    bad = [r for r in records if r["returncode"] != 0 or r["result"] is None]
+    if bad:
+        raise SystemExit(f"{len(bad)} runs did not finish, e.g. {bad[0]['side']} "
+                         f"{bad[0]['workload']} seed {bad[0]['seed']}")
+    units = {m["name"]: m["unit"]
+             for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    workloads = list(dict.fromkeys(r["workload"] for r in records))
+    seeds = sorted({r["seed"] for r in records})
+    for side, path in (("base", args.base), ("head", args.head)):
+        mine = [r for r in records if r["side"] == side]
+        for key in ("src_sha256", "machine"):
+            if len({json.dumps(r[key]) for r in mine}) != 1:
+                raise SystemExit(f"{side} runs differ in {key}")
+        doc = {"label": Path(path).stem, "side": side,
+               "src_sha256": mine[0]["src_sha256"], "machine": mine[0]["machine"],
+               "command": f"python3 perfbench/run.py --workload W --seed S "
+                          f"--seconds {SECONDS} --trace 0",
+               "protocol": f"seeds {seeds[0]}-{seeds[-1]}, one run per seed and workload, "
+                           "paired with a run of the other checkout on the same seed, "
+                           "alternating which ran first",
+               "quartiles": "numpy.percentile 25/50/75, linear interpolation",
+               "workloads": {w: summary([r for r in mine if r["workload"] == w], units)
+                             for w in workloads}}
+        Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    for w in workloads:
+        for name in units:
+            value = {(r["side"], r["seed"]): r["result"]["metrics"][name]["value"]
+                     for r in records if r["workload"] == w}
+            base = np.array([value["base", s] for s in seeds])
+            head = np.array([value["head", s] for s in seeds])
+            q1, med, q3 = np.percentile(base, [25, 50, 75])
+            print(f"{w:18s} {name:12s} base {med:.4g} [{q1:.4g}, {q3:.4g}]  "
+                  f"head {np.median(head):.4g}  head lower on {int(np.sum(head < base))}"
+                  f"/{len(seeds)} seeds")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(required=True)
+    p = sub.add_parser("run", help="paired runs, appended as JSON lines")
+    p.add_argument("--base", required=True, help="checkout of the parent commit")
+    p.add_argument("--head", default=str(ROOT), help="checkout of the change")
+    p.add_argument("--seeds", default="11-20", help="inclusive range, e.g. 11-20")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=run)
+    p = sub.add_parser("write", help="BENCH files from the JSON lines")
+    p.add_argument("runs")
+    p.add_argument("--base", required=True, help="output file for the base checkout")
+    p.add_argument("--head", required=True, help="output file for the head checkout")
+    p.set_defaults(func=write)
+    args = parser.parse_args(argv)
+    args.func(args)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,4 +1,5 @@
-"""Properties of the guidance velocity and the batched polar decomposition.
+"""Properties of the guidance velocity, the batched polar decomposition and
+the one-point wavefield path.
 
 Random box, harmonic and free superpositions in 1D and 2D, with non-unit
 hbar and mass among them, evaluated at random points and times.
@@ -16,12 +17,18 @@ from hypothesis import strategies as st
 from pilotwave import bohmian as bm
 from pilotwave import quantum as qm
 from pilotwave import systems as sy
-from pilotwave.errors import PilotwaveError
+from pilotwave.errors import DomainError, PilotwaveError
 
 
 @st.composite
-def wavefields(draw):
-    """(superposition, points of shape (N, D), one time per point)."""
+def wavefields(draw, box_n=6, harmonic_n=6, spread=2.0, wall=None):
+    """(superposition, points of shape (N, D), one time per point).
+
+    Box and oscillator quantum numbers go up to `box_n` and `harmonic_n`,
+    oscillator points to +-`spread`.  With wall = (outside, inside), about
+    half of the box coordinates lie within that band (in units of the side)
+    of a wall.
+    """
     kind = draw(st.sampled_from(("box", "harmonic", "free")))
     d = draw(st.sampled_from((1, 2)))
     constants = sy.SystemConstants(hbar=draw(st.sampled_from((1.0, 0.7))),
@@ -29,12 +36,12 @@ def wavefields(draw):
     axes = (1.0, math.sqrt(2.0))[:d]
     if kind == "box":
         system = sy.SolvableSystem("box", constants, lengths=axes)
-        number = st.integers(1, 6)
+        number = st.integers(1, box_n)
         lo, hi = 0.05 * np.array(axes), 0.95 * np.array(axes)
     elif kind == "harmonic":
         system = sy.harmonic(*axes, constants=constants)
-        number = st.integers(0, 6)
-        lo, hi = np.full(d, -2.0), np.full(d, 2.0)
+        number = st.integers(0, harmonic_n)
+        lo, hi = np.full(d, -spread), np.full(d, spread)
     else:
         system = sy.free_particle(constants)
         number = st.floats(-3.0, 3.0)
@@ -44,7 +51,20 @@ def wavefields(draw):
     sup = qm.Superposition.of(system, [(r * cmath.exp(1j * phi), n) for r, phi, n in terms])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_points = draw(st.integers(1, 8))
-    return sup, rng.uniform(lo, hi, (n_points, d)), rng.uniform(0.0, 3.0, n_points)
+    x = rng.uniform(lo, hi, (n_points, d))
+    if kind == "box" and wall is not None:
+        depth = rng.uniform(-wall[0], wall[1], x.shape) * axes
+        near = np.where(rng.random(x.shape) < 0.5, depth, np.array(axes) - depth)
+        x = np.where(rng.random(x.shape) < 0.5, near, x)
+    return sup, x, rng.uniform(0.0, 3.0, n_points)
+
+
+# a few ulps of subnormal arithmetic, which 1e-12 of a subnormal size rounds to 0
+SUBNORMAL_ULPS = 8 * np.finfo(float).smallest_subnormal
+
+
+def _floored(tol):
+    return max(tol, SUBNORMAL_ULPS)
 
 
 def _point(sup, x):
@@ -62,12 +82,43 @@ def _term_sizes(sup, x):
             for i in range(3)]
 
 
-def _field_tolerances(sup, x, rho):
-    """1e-12 of the term sizes, carried through rho, v = grad sigma / m and Q."""
+def _point_sizes(sup, x):
+    """`_term_sizes`, or for box states sum_n |c_n| max |f_n| over the box.
+
+    A box mode is the sine of a rounded argument k_n x; near a wall, where
+    it vanishes, the scalar (angle addition) and array (sin of k_n x) paths
+    know it only to a few ulps of its largest value, not of its value at x.
+    """
+    if sup.system.kind != "box":
+        return _term_sizes(sup, x)
+    lengths = sup.system.lengths
+    a = math.prod(math.sqrt(2.0 / L) for L in lengths)
+    sizes = np.zeros(3)
+    for c, st in sup.terms:
+        k = [n * math.pi / L for n, L in zip(st.quantum_numbers, lengths)]
+        sizes += abs(c) * a * np.array([1.0, math.hypot(*k), sum(ki * ki for ki in k)])
+    return sizes
+
+
+def _inside(sup, x):
+    """x with box coordinates held 1e-12 L inside the walls, as `_guidance` does."""
+    if sup.system.kind != "box":
+        return x
+    pad = 1e-12 * max(sup.system.lengths)
+    return np.clip(x, pad, np.subtract(sup.system.lengths, pad))
+
+
+def _field_tolerances(sup, x, rho, sizes=_term_sizes):
+    """1e-12 of the term sizes, carried through rho, v = grad sigma / m and Q.
+
+    psi* grad psi, which v divides by rho^2, and each tolerance are floored
+    at a few subnormal ulps.
+    """
     c = sup.system.constants
-    a, g, lap = _term_sizes(sup, x)
-    return (1e-12 * a, 1e-12 * c.hbar / c.mass * a * g / rho**2,
-            1e-12 * c.hbar**2 / c.mass * a * (lap / rho**2 + g**2 / rho**3))
+    a, g, lap = sizes(sup, x)
+    return (_floored(1e-12 * a),
+            _floored(c.hbar / c.mass * _floored(1e-12 * a * g) / rho**2),
+            _floored(1e-12 * c.hbar**2 / c.mass * a * (lap / rho**2 + g**2 / rho**3)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -80,7 +131,7 @@ def test_current_is_rho_squared_velocity(case):
     for i in range(t.size):
         j = np.atleast_1d(bm.probability_current(sup, _point(sup, x[i]), t[i]))
         a, g, _ = _term_sizes(sup, _point(sup, x[i]))
-        assert np.max(np.abs(amp[i] ** 2 * v[i] - j)) <= 1e-12 * c.hbar / c.mass * a * g
+        assert np.max(np.abs(amp[i] ** 2 * v[i] - j)) <= _floored(1e-12 * c.hbar / c.mass * a * g)
 
 
 @settings(max_examples=150, deadline=None)
@@ -91,7 +142,7 @@ def test_time_array_matches_per_point_calls(case):
     for i in range(t.size):
         single = qm.evaluate_wavefunction(sup, _point(sup, x[i]), t[i])
         for b, s, size in zip(batch, single, _term_sizes(sup, _point(sup, x[i]))):
-            np.testing.assert_allclose(b[i], s, rtol=0, atol=1e-12 * size)
+            np.testing.assert_allclose(b[i], s, rtol=0, atol=_floored(1e-12 * size))
 
 
 @settings(max_examples=100, deadline=None)
@@ -127,3 +178,55 @@ def test_newtonian_residual_matches_per_sample_loop(case):
     q_tol = max(_field_tolerances(sup, _point(sup, p), float(r))[2]
                 for p, r in zip(positions, traj.rho))
     assert abs(got - expected) <= q_tol / 2e-5
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=wavefields(box_n=40, harmonic_n=40, spread=9.0, wall=(0.0, 1e-12)))
+def test_one_point_path_matches_batched_path(case):
+    """One point at one time: the scalar ladders against the array path."""
+    sup, x, t = case
+    d = sup.system.dimension
+    batch = qm.evaluate_wavefunction(sup, x[:, 0] if d == 1 else x, t[0])
+    for i in range(t.size):
+        single = qm.evaluate_wavefunction(sup, _point(sup, x[i]), t[0])
+        assert np.ndim(single[0]) == np.ndim(single[2]) == 0
+        assert np.shape(single[1]) == (() if d == 1 else (2,))
+        for b, s, size in zip(batch, single, _point_sizes(sup, _point(sup, x[i]))):
+            np.testing.assert_allclose(b[i], s, rtol=0, atol=_floored(1e-12 * size))
+
+
+@pytest.mark.parametrize("lengths", [(1.0,), (1.0, 1.3)])
+def test_one_point_outside_box_raises(lengths):
+    d = len(lengths)
+    system = sy.SolvableSystem("box", sy.SystemConstants(dimension=d), lengths=lengths)
+    sup = qm.Superposition.of(system, [(1.0, (1,) * d), (0.5j, (2,) * d)])
+    for axis in range(d):
+        for outside in (-1e-9, lengths[axis] + 1e-9):
+            x = 0.5 * np.array(lengths)
+            x[axis] = outside
+            with pytest.raises(DomainError):
+                qm.evaluate_wavefunction(sup, x[0] if d == 1 else x, 0.3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=wavefields(wall=(1e-9, 1e-12)))
+def test_guidance_one_and_two_points_match_batched_rows(case):
+    """Shapes (D,) and (2, D) take the scalar path; N >= 3 points the batched one.
+
+    Box coordinates up to 1e-9 outside a wall are clamped alike on both.
+    """
+    sup, x, t = case
+    d = sup.system.dimension
+    stacked = np.concatenate([x, x, x])
+    v_all, amp_all = bm._guidance(sup, stacked, t[0])
+    for i in range(t.size):
+        j = (i + 1) % t.size
+        v1, amp1 = bm._guidance(sup, x[i], t[0])
+        v2, amp2 = bm._guidance(sup, x[[i, j]], t[0])
+        assert v1.shape == (d,) and np.ndim(amp1) == 0
+        assert v2.shape == (2, d) and amp2.shape == (2,)
+        for k, v, amp in ((i, v1, amp1), (i, v2[0], amp2[0]), (j, v2[1], amp2[1])):
+            rho_tol, v_tol, _ = _field_tolerances(sup, _point(sup, _inside(sup, x[k])),
+                                                  amp_all[k], _point_sizes)
+            assert abs(amp - amp_all[k]) <= rho_tol
+            assert np.max(np.abs(v - v_all[k])) <= v_tol

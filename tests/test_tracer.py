@@ -48,3 +48,16 @@ def test_tracer_counts_integrations_per_module(two_mode_box_complex):
     assert metrics["bohmian.trajectory_s"] > 0
     assert metrics["classical.lyapunov_s"] > 0
     assert [getattr(mod, name) for mod, name in originals] == before
+
+
+def test_tracer_times_every_guidance_evaluation(chaotic_aniso_state):
+    """One-point guidance stays behind the traced name `evaluate_wavefunction`."""
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        bm.integrate_bohmian(chaotic_aniso_state, [-0.4, -0.8], (1.0, 1.5))
+        metrics = tracer.metrics(1)
+    finally:
+        tracer.uninstall()
+    assert metrics["quantum.scalar_us_per_call"] > 0
+    assert metrics["quantum.eval_calls"] >= metrics["integrate.bohmian.nfev"] > 0
