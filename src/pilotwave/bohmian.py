@@ -23,6 +23,7 @@ from .quantum import (
     _polar,
     amplitude_scale,
     evaluate_wavefunction,
+    _map_chunks,
     phase_gradient,
     wavefield_sample,
 )
@@ -44,14 +45,14 @@ CIRCULATION_GUARD_FACTOR = 1e-7
 
 
 def _guidance(sup: Superposition, x, t):
-    """(v, |psi|) at stacked points x of shape (..., D), with no node guard.
+    """(v, |psi|) at points x of shape (D,), (2, D) or (N, D), with no node guard.
 
     t is one time or one per point.  Box points are evaluated 1e-12 L inside
     the walls: Runge-Kutta trial stages may poke just outside, and the exact
     flow cannot leave the domain.
     One point (shape (D,)) or two (shape (2, D)) go through one-point
-    `evaluate_wavefunction` calls and Python floats; more go through one
-    batched call.
+    `evaluate_wavefunction` calls and Python floats; more go through
+    batched calls of `CHUNK` points, each followed by `phase_gradient`.
     """
     system = sup.system
     x = np.asarray(x, dtype=float)
@@ -65,10 +66,13 @@ def _guidance(sup: Superposition, x, t):
         if x.ndim == 1:
             return np.array(rows[0][0]), rows[0][1]
         return np.array([v for v, _ in rows]), np.array([amp for _, amp in rows])
-    psi, grad, _ = evaluate_wavefunction(sup, x[..., 0] if system.dimension == 1 else x, t)
-    if system.dimension == 1:
-        grad = grad[..., None]
-    return phase_gradient(psi, grad, system.constants.hbar) / system.constants.mass, np.abs(psi)
+    d, hbar, m = system.dimension, system.constants.hbar, system.constants.mass
+
+    def chunk(xc, tc):
+        psi, grad, _ = evaluate_wavefunction(sup, xc[:, 0] if d == 1 else xc, tc)
+        return phase_gradient(psi, grad[:, None] if d == 1 else grad, hbar) / m, np.abs(psi)
+
+    return _map_chunks(chunk, x, t, (np.empty(x.shape), np.empty(len(x))))
 
 
 def _point_guidance(sup: Superposition, p: list, t: float):
@@ -89,17 +93,23 @@ def _point_guidance(sup: Superposition, p: list, t: float):
 
 
 def _sampled_fields(sup: Superposition, x, t):
-    """(rho, Q, grad sigma, bad) at stacked points x of shape (..., D), one time each.
+    """(rho, Q, grad sigma, bad) at points x of shape (N, D), one time each.
 
     bad marks exact nodes and overflow, where the polar fields are undefined.
     """
     d = sup.system.dimension
-    psi, grad, lap = evaluate_wavefunction(sup, x[..., 0] if d == 1 else x, t)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rho, _, grad_sigma, Q = _polar(psi, grad[..., None] if d == 1 else grad, lap,
-                                       sup.system.constants)
-    bad = (rho == 0.0) | ~np.isfinite(Q) | ~np.all(np.isfinite(grad_sigma), axis=-1)
-    return rho, Q, grad_sigma, bad
+
+    def chunk(xc, tc):
+        psi, grad, lap = evaluate_wavefunction(sup, xc[:, 0] if d == 1 else xc, tc)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rho, _, grad_sigma, q = _polar(psi, grad[:, None] if d == 1 else grad, lap,
+                                           sup.system.constants)
+        bad = (rho == 0.0) | ~np.isfinite(q) | ~np.all(np.isfinite(grad_sigma), axis=-1)
+        return rho, q, grad_sigma, bad
+
+    n = len(x)
+    return _map_chunks(chunk, x, t, (np.empty(n), np.empty(n), np.empty(x.shape),
+                                    np.empty(n, dtype=bool)))
 
 
 def velocity_field(sup: Superposition, x, t: float):
@@ -262,7 +272,8 @@ def newtonian_residual(traj: BohmianTrajectory, sup: Superposition,
     x = xx2[2:-2]
     steps = grad_step * np.eye(d)
     stencil = np.stack([x[:, None, :] + steps, x[:, None, :] - steps], axis=1)
-    rho, q, _, bad = _sampled_fields(sup, stencil, tt[2:-2, None, None])
+    fields = _sampled_fields(sup, stencil.reshape(-1, d), np.repeat(tt[2:-2], 2 * d))
+    rho, q, _, bad = (a.reshape(stencil.shape[:-1] + a.shape[1:]) for a in fields)
     if np.any(bad):
         k = np.argwhere(bad)[0]
         raise NodeSingularityError(stencil[tuple(k)], tt[2 + k[0]], float(rho[tuple(k)]),

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from .bohmian import _guidance, _node_threshold, integrate_bohmian
 from .csvio import write_csv
 from .errors import DomainError, IntegrationError, PilotwaveError
-from .quantum import Superposition, effective_domain, evaluate_wavefunction
+from .quantum import Superposition, _psi_batch, effective_domain
 
 __all__ = [
     "Ensemble",
@@ -51,8 +51,7 @@ class Ensemble:
 
 
 def _density_batch(sup: Superposition, pts: np.ndarray, t: float) -> np.ndarray:
-    psi, _, _ = evaluate_wavefunction(sup, pts, t)
-    return np.abs(psi) ** 2
+    return np.abs(_psi_batch(sup, pts, t)) ** 2
 
 
 def sample_quantum_equilibrium(sup: Superposition, t: float, n: int, seed: int) -> Ensemble:
@@ -121,8 +120,9 @@ def _per_member(positions: np.ndarray, sup: Superposition, t0: float, t1: float,
 def _stacked(positions: np.ndarray, sup: Superposition, t0: float, t1: float, tol: float):
     """All members in one integration with shared step control.
 
-    Members within 10^3 node thresholds are reported at their first such
-    evaluation and get zero velocity while they stay there.
+    Only the state at t1 is kept, not one per step.  Members within 10^3
+    node thresholds are reported at their first such evaluation and get
+    zero velocity while they stay there.
     """
     n, d = positions.shape[0], sup.system.dimension
     floor = _node_threshold(sup) * 1e3
@@ -138,7 +138,8 @@ def _stacked(positions: np.ndarray, sup: Superposition, t0: float, t1: float, to
         v[bad] = 0.0
         return v.reshape(-1)
 
-    res = solve_ivp(rhs, (t0, t1), positions.reshape(-1), method="RK45", rtol=tol, atol=tol)
+    res = solve_ivp(rhs, (t0, t1), positions.reshape(-1), method="RK45", rtol=tol, atol=tol,
+                    t_eval=[t1])
     if res.status < 0:
         raise IntegrationError(res.message)
     out = res.y[:, -1].reshape(positions.shape)
@@ -152,8 +153,8 @@ def evolve_ensemble(ensemble: Ensemble, sup: Superposition, t1: float,
     Up to 256 members, each position advances with its own adaptive
     integration and node-encounter reports are collected.  Above that, all
     members advance jointly with shared step control, which evaluates the
-    wavefield in batch and is orders of magnitude faster at ensemble scale.
-    Member order is preserved either way.
+    wavefield in batch and is orders of magnitude faster at ensemble scale;
+    no intermediate states are stored.  Member order is preserved either way.
     """
     if ensemble.size == 0 or t1 == ensemble.t:
         return EnsembleEvolution(Ensemble(ensemble.seed, ensemble.positions.copy(), t1))

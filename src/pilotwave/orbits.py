@@ -53,11 +53,6 @@ class ClosedOrbit:
     path: np.ndarray  # (n, 4) regularized samples
     system: object = None
 
-    def physical_path(self) -> np.ndarray:
-        from .classical import regularized_to_physical
-
-        return regularized_to_physical(self.path)[:, :2]
-
 
 def _close_approaches(system, theta, tau_max, tol, capture_radius, tau_min=0.05):
     """Integrate one launch and list close approaches (tau, R, miss L)."""

@@ -7,16 +7,17 @@ Eigenfunctions are evaluated in closed form together with their first and
 second derivatives, so no numerical differentiation enters any downstream
 quantity.
 
-`evaluate_wavefunction` has two paths.  Arrays of points go through numpy,
-one eigenfunction per term.  One point at one time, the case of every
-guidance-law step, goes through Python scalars, where numpy's per-call
-overhead would cost more than the arithmetic: each box or oscillator axis
-runs one mode ladder up to its highest quantum number (one Hermite
-recurrence; sin and cos of n theta by angle addition) and the term sum
-reads from the ladders.  The two paths agree to 1e-12 of the term sizes
-sum |c_n f_n(x)|; within about 1e-12 L of a box wall, where every mode
-vanishes, to 1e-12 of the modes' largest values, as both round the sine's
-argument.
+`evaluate_wavefunction` reads every term from one mode ladder per box or
+oscillator axis, up to that axis's highest quantum number: one exp and one
+Hermite recurrence, or one sin/cos pair and angle addition for n theta.
+Free plane waves take one exp per term.  One point at one time, the case of
+every guidance-law step, runs the ladders in Python scalars, where numpy's
+per-call overhead would cost more than the arithmetic; arrays run them in
+numpy, `CHUNK` points per call from batched callers (`_map_chunks`).  Both
+agree with the per-term `eigenfunction` to 1e-12 of the term sizes
+sum |c_n f_n(x)|, except that near its zeros (a wall, an interior node) a
+box mode is known only to a few ulps of its largest value on every path,
+as each rounds the sine's argument.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -145,17 +147,17 @@ def _harmonic_axis(n: int, omega: float, constants: SystemConstants, x: np.ndarr
     return value, grad, lap
 
 
-def _box_ladder(axis, x: float):
-    """(value, d/dx, d2/dx2) of the box modes n = 0..n_max at one coordinate.
+def _box_ladder(axis, x, lib):
+    """(value, d/dx, d2/dx2) of the box modes n = 0..n_max at a float or an array.
 
     sin and cos of n theta come from one sin/cos pair by angle addition;
     index 0 is a placeholder, box modes start at 1.
     """
     L, a, rungs = axis
-    if x < 0 or x > L:
+    if lib.any((x < 0) | (x > L)):
         raise DomainError("position outside box domain")
     theta = math.pi / L * x
-    s1, c1 = math.sin(theta), math.cos(theta)
+    s1, c1 = lib.sin(theta), lib.cos(theta)
     s, c = 0.0, 1.0
     modes = [(0.0, 0.0, 0.0)]
     for a_kn, a_kn2 in rungs:
@@ -170,19 +172,19 @@ def _box_ladder_plan(n_max: int, L: float):
     return _box_ladder, (L, a, tuple((a * k, -a * k**2) for k in kn))
 
 
-def _harmonic_ladder(axis, x: float):
-    """(value, d/dx, d2/dx2) of the oscillator modes n = 0..n_max at one coordinate.
+def _harmonic_ladder(axis, x, lib):
+    """(value, d/dx, d2/dx2) of the oscillator modes n = 0..n_max at a float or an array.
 
     One run of the `_hermite_pair` recurrence, with its rounding, serves every n.
     """
     s, sqrt_s, s_sqrt_s, s2, rungs = axis
     xi = s * x
-    h_prev, h = 0.0, math.pi ** (-0.25) * math.exp(-0.5 * (xi * xi))
+    xi2 = xi * xi
+    h_prev, h = 0.0, math.pi ** (-0.25) * lib.exp(-0.5 * xi2)
     modes = []
     for sqrt_2n, up, down, two_n1 in rungs:
         value = sqrt_s * h
-        modes.append((value, s_sqrt_s * (sqrt_2n * h_prev - xi * h),
-                      s2 * (xi * xi - two_n1) * value))
+        modes.append((value, s_sqrt_s * (sqrt_2n * h_prev - xi * h), s2 * (xi2 - two_n1) * value))
         h, h_prev = up * xi * h - down * h_prev, h
     return modes
 
@@ -193,6 +195,11 @@ def _harmonic_ladder_plan(n_max: int, s: float):
     return _harmonic_ladder, (s, math.sqrt(s), s * math.sqrt(s), s**2, rungs)
 
 
+# what the ladders and the term sum call: Python scalars at one point, numpy for arrays
+_SCALAR = SimpleNamespace(sin=math.sin, cos=math.cos, exp=math.exp, cexp=cmath.exp, any=bool)
+_ARRAY = SimpleNamespace(sin=np.sin, cos=np.cos, exp=np.exp, cexp=np.exp, any=np.any)
+
+
 def eigenfunction(system: SolvableSystem, state: EigenstateRef, x):
     """Closed-form eigenfunction value, gradient and laplacian at x.
 
@@ -200,44 +207,24 @@ def eigenfunction(system: SolvableSystem, state: EigenstateRef, x):
     complex for free-particle plane waves, real otherwise.
     """
     x = np.asarray(x, dtype=float)
-    d = system.dimension
+    d, n = system.dimension, state.quantum_numbers
+    if system.kind == "free":  # plane wave exp(i k . x)
+        k = np.asarray(n, dtype=float)
+        value = np.exp(1j * (k[0] * x if d == 1 else x @ k))
+        grad = 1j * k[0] * value if d == 1 else 1j * k * value[..., None]
+        return value, grad, -float(k @ k) * value
+    coords = [x] if d == 1 else [x[..., 0], x[..., 1]]
     if system.kind == "box":
-        if d == 1:
-            if np.any((x < 0) | (x > system.lengths[0])):
-                raise DomainError("position outside box domain")
-            return _box_axis(state.quantum_numbers[0], system.lengths[0], x)
         if np.any((x < 0) | (x > np.asarray(system.lengths))):
             raise DomainError("position outside box domain")
-        vx, gx, lx = _box_axis(state.quantum_numbers[0], system.lengths[0], x[..., 0])
-        vy, gy, ly = _box_axis(state.quantum_numbers[1], system.lengths[1], x[..., 1])
-        value = vx * vy
-        grad = np.stack([gx * vy, vx * gy], axis=-1)
-        lap = lx * vy + vx * ly
-        return value, grad, lap
-    if system.kind == "harmonic":
-        if d == 1:
-            return _harmonic_axis(state.quantum_numbers[0], system.omegas[0], system.constants, x)
-        vx, gx, lx = _harmonic_axis(
-            state.quantum_numbers[0], system.omegas[0], system.constants, x[..., 0]
-        )
-        vy, gy, ly = _harmonic_axis(
-            state.quantum_numbers[1], system.omegas[1], system.constants, x[..., 1]
-        )
-        value = vx * vy
-        grad = np.stack([gx * vy, vx * gy], axis=-1)
-        lap = lx * vy + vx * ly
-        return value, grad, lap
-    # free particle: plane wave exp(i k . x)
-    k = np.asarray(state.quantum_numbers, dtype=float)
+        parts = list(map(_box_axis, n, system.lengths, coords))
+    else:
+        parts = [_harmonic_axis(ni, w, system.constants, xi)
+                 for ni, w, xi in zip(n, system.omegas, coords)]
     if d == 1:
-        phase = k[0] * x
-        value = np.exp(1j * phase)
-        return value, 1j * k[0] * value, -(k[0] ** 2) * value
-    phase = x @ k
-    value = np.exp(1j * phase)
-    grad = 1j * k * value[..., None]
-    lap = -float(k @ k) * value
-    return value, grad, lap
+        return parts[0]
+    (vx, gx, lx), (vy, gy, ly) = parts
+    return vx * vy, np.stack([gx * vy, vx * gy], axis=-1), lx * vy + vx * ly
 
 
 @dataclass(frozen=True)
@@ -284,13 +271,9 @@ class Superposition:
     def coefficients(self) -> np.ndarray:
         return np.array([c for c, _ in self.terms])
 
-    def is_stationary(self) -> bool:
-        energies = self.energies
-        return bool(np.all(energies == energies[0]))
-
     @cached_property
-    def _point_plan(self):
-        """(axes, terms) of the one-point path of `evaluate_wavefunction`.
+    def _plan(self):
+        """(axes, terms) of `evaluate_wavefunction`.
 
         axes holds one (ladder, constants) per box or oscillator axis, with
         the per-n constants up to the highest quantum number on that axis
@@ -312,65 +295,73 @@ def evaluate_wavefunction(sup: Superposition, x, t):
     """psi, grad psi and laplacian psi of the exact time-evolved superposition.
 
     t is one time, or an array that broadcasts over the points (one time each).
-    One finite point at one time (x 0-d in 1D, shape (2,) in 2D) takes a
-    path in Python scalars, with one mode ladder per axis; its values agree
-    with the array path to 1e-12 of the term sizes (see the module docstring).
+    One finite point at one time (x 0-d in 1D, shape (2,) in 2D) is summed
+    in Python scalars, anything else in numpy; both read one mode ladder per
+    axis (see the module docstring).  Batched callers pass `CHUNK` points at
+    a time (`_map_chunks`).
     """
     d = sup.system.dimension
     x = np.asarray(x, dtype=float)
     if np.ndim(t) == 0 and x.shape == ((2,) if d == 2 else ()):
         point = x.tolist() if d == 2 else [float(x)]
         if math.isfinite(t) and all(map(math.isfinite, point)):
-            return _evaluate_point(sup, point, float(t))
+            psi, grad, lap = _term_sum(sup, point, float(t), _SCALAR)
+            return psi, (grad[0] if d == 1 else np.array(grad)), lap
+    psi, grad, lap = _term_sum(sup, [x] if d == 1 else [x[..., 0], x[..., 1]], t, _ARRAY)
+    return psi, (grad[0] if d == 1 else np.stack(grad, axis=-1)), lap
+
+
+def _term_sum(sup: Superposition, point, t, lib):
+    """(psi, gradient components, laplacian) at `point`, one coordinate or array per axis."""
+    axes, terms = sup._plan
+    tables = [ladder(constants, xi, lib) for (ladder, constants), xi in zip(axes, point)]
     hbar = sup.system.constants.hbar
-    per_point_2d = d == 2 and np.ndim(t) > 0
     psi = grad = lap = None
-    for c, st in sup.terms:
-        v, g, l = eigenfunction(sup.system, st, x)
+    for c, energy, n in terms:
+        if not tables:  # free: plane wave exp(i k . x)
+            v = lib.cexp(1j * sum(ki * xi for ki, xi in zip(n, point)))
+            g, l = [1j * ki * v for ki in n], -sum(ki * ki for ki in n) * v
+        elif len(tables) == 1:
+            v, g, l = tables[0][n[0]]
+            g = [g]
+        else:
+            (vx, gx, lx), (vy, gy, ly) = tables[0][n[0]], tables[1][n[1]]
+            v, g, l = vx * vy, [gx * vy, vx * gy], lx * vy + vx * ly
         # real phase first: Python and numpy round a complex / float differently
-        w = c * np.exp(-1j * (st.energy * t / hbar))
-        wg = w[..., None] if per_point_2d else w  # times broadcast over the gradient axis
+        w = c * lib.cexp(-1j * (energy * t / hbar))
         if psi is None:
-            psi, grad, lap = w * v, wg * g, w * l
+            psi, grad, lap = w * v, [w * gi for gi in g], w * l
         else:
             psi = psi + w * v
-            grad = grad + wg * g
+            grad = [a + w * gi for a, gi in zip(grad, g)]
             lap = lap + w * l
     return psi, grad, lap
 
 
-def _point_terms(sup: Superposition, point):
-    """(value, gradient components, laplacian) of each term's eigenfunction at one point."""
-    axes, terms = sup._point_plan
-    if not axes:  # free: plane waves exp(i k . x)
-        for _, _, k in terms:
-            v = cmath.exp(1j * sum(ki * xi for ki, xi in zip(k, point)))
-            yield v, [1j * ki * v for ki in k], -sum(ki * ki for ki in k) * v
-        return
-    tables = [ladder(constants, xi) for (ladder, constants), xi in zip(axes, point)]
-    if len(tables) == 1:
-        for _, _, (n,) in terms:
-            v, g, l = tables[0][n]
-            yield v, [g], l
-        return
-    for _, _, (nx, ny) in terms:
-        (vx, gx, lx), (vy, gy, ly) = tables[0][nx], tables[1][ny]
-        yield vx * vy, [gx * vy, vx * gy], lx * vy + vx * ly
+# rows per block of a batched evaluation: 64 KiB per complex array, below
+# glibc's 128 KiB mmap threshold, so a block's temporaries reuse freed memory
+# instead of faulting in fresh pages, and no full-size term table exists
+CHUNK = 4096
 
 
-def _evaluate_point(sup: Superposition, point: list, t: float):
-    """`evaluate_wavefunction` at one point, summed term by term in Python complex."""
-    hbar = sup.system.constants.hbar
-    psi = grad = lap = None
-    for (c, energy, _), (v, g, l) in zip(sup._point_plan[1], _point_terms(sup, point)):
-        w = c * cmath.exp(-1j * (energy * t / hbar))
-        if psi is None:
-            psi, grad, lap = w * v, [w * gi for gi in g], w * l
-        else:
-            psi += w * v
-            grad = [a + w * gi for a, gi in zip(grad, g)]
-            lap += w * l
-    return psi, (grad[0] if len(grad) == 1 else np.array(grad)), lap
+def _map_chunks(fn, x, t, outs):
+    """Fill `outs` block by block of `CHUNK` rows with fn(x[rows], t[rows]).
+
+    x and every output hold one point per row; t is one time or one per
+    row.  Returns outs.
+    """
+    per_row = np.ndim(t) > 0
+    for lo in range(0, len(x), CHUNK):
+        rows = slice(lo, lo + CHUNK)
+        for out, value in zip(outs, fn(x[rows], t[rows] if per_row else t)):
+            out[rows] = value
+    return outs
+
+
+def _psi_batch(sup: Superposition, pts, t):
+    """psi at points pts (one per row), `CHUNK` points per evaluation."""
+    return _map_chunks(lambda xc, tc: evaluate_wavefunction(sup, xc, tc)[:1], pts, t,
+                       (np.empty(len(pts), dtype=complex),))[0]
 
 
 @dataclass(frozen=True)
@@ -509,7 +500,7 @@ def norm_quadrature(sup: Superposition, t: float = 0.0, order: int = 400) -> flo
     (x, wx), (y, wy) = axes
     X, Y = np.meshgrid(x, y, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    psi, _, _ = evaluate_wavefunction(sup, pts, t)
+    psi = _psi_batch(sup, pts, t)
     w2 = np.outer(wx, wy).ravel()
     return float(np.sum(w2 * np.abs(psi) ** 2))
 
@@ -575,8 +566,7 @@ def find_nodes(sup: Superposition, region, t: float, resolution: int = 200) -> n
     yg = np.linspace(lo[1], hi[1], ny)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     pts = np.stack([X, Y], axis=-1)
-    psi, _, _ = evaluate_wavefunction(sup, pts.reshape(-1, 2), t)
-    psi = psi.reshape(nx, ny)
+    psi = _psi_batch(sup, pts.reshape(-1, 2), t).reshape(nx, ny)
     peak = np.max(np.abs(psi))
     if peak == 0.0:
         return np.empty((0, 2))

@@ -222,7 +222,9 @@ def _run_trace(scn: Scenario, out: Path) -> list[Path]:
     _write_json(out / "peaks.json", {
         "kind": "trace",
         "families": len(families),
-        "maxima": [{"E": e, "density": d} for e, d in density.local_maxima()],
+        # ripples of a level sum below roundoff of its peaks are not maxima
+        "maxima": [{"E": e, "density": d} for e, d in
+                   density.local_maxima(floor=1e-9 * float(np.max(density.total)))],
     })
     return [out / "density.csv", out / "peaks.json"]
 

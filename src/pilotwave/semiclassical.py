@@ -180,7 +180,8 @@ def van_vleck_1d(system: SolvableSystem, x1: float, x2: float, dt: float,
         interior = jj[1:-1]
         signs = np.sign(interior[np.abs(interior) > 1e-14])
         n_conj = int(np.sum(signs[:-1] * signs[1:] < 0))
-        action = float(res.y[4, -1])
+        # the shot ends a root tolerance short of x2: R(x2) = R(x_end) + p2 (x2 - x_end)
+        action = float(res.y[4, -1] - res.y[1, -1] * (res.y[0, -1] - x2))
         amp = abs(1.0 / jt) ** 0.5
         total += prefactor * amp * cmath.exp(1j * (action / hbar - n_conj * math.pi / 2.0))
         paths.append(ClassicalAction("time", action, 1.0 / jt, n_conj))

@@ -168,6 +168,21 @@ def test_trace_scenario(tmp_path):
     assert np.allclose(data[:, 1] + data[:, 2], data[:, 3])
 
 
+def test_trace_scenario_maxima_are_levels(tmp_path):
+    """On criterion 10's grid the maxima are the five levels n + 1/2, not roundoff ripples."""
+    grid = (0.05, 5.5, 4001)
+    doc = {"schema": 1, "name": "tr", "kind": "trace",
+           "system": {"kind": "harmonic", "dimension": 1, "omegas": [1.0]},
+           "run": {"e_min": grid[0], "e_max": grid[1], "n_grid": grid[2],
+                   "repetitions": 50, "gamma": 0.03}}
+    run_scenario(_write(tmp_path / "t.json", doc), out_dir=tmp_path / "out")
+    with open(tmp_path / "out" / "peaks.json", encoding="utf-8") as fh:
+        maxima = json.load(fh)["maxima"]
+    spacing = (grid[1] - grid[0]) / (grid[2] - 1)
+    assert [round(m["E"] - 0.5) for m in maxima] == [0, 1, 2, 3, 4]
+    assert all(abs(m["E"] - (n + 0.5)) <= spacing for n, m in enumerate(maxima))
+
+
 def test_compare_scenarios(tmp_path):
     reg = _write(tmp_path / "reg.json",
                  _classical_doc(name="regular", lyapunov={"horizon": 60.0}))

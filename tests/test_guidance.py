@@ -21,15 +21,16 @@ from pilotwave.errors import DomainError, PilotwaveError
 
 
 @st.composite
-def wavefields(draw, box_n=6, harmonic_n=6, spread=2.0, wall=None):
+def wavefields(draw, box_n=6, harmonic_n=6, spread=2.0, wall=None, n_points=(1, 8),
+               kinds=("box", "harmonic", "free"), unique=False):
     """(superposition, points of shape (N, D), one time per point).
 
     Box and oscillator quantum numbers go up to `box_n` and `harmonic_n`,
-    oscillator points to +-`spread`.  With wall = (outside, inside), about
-    half of the box coordinates lie within that band (in units of the side)
-    of a wall.
+    oscillator points to +-`spread`, N between the bounds `n_points`.  With
+    wall = (outside, inside), about half of the box coordinates lie within
+    that band (in units of the side) of a wall.  `unique` draws no state twice.
     """
-    kind = draw(st.sampled_from(("box", "harmonic", "free")))
+    kind = draw(st.sampled_from(kinds))
     d = draw(st.sampled_from((1, 2)))
     constants = sy.SystemConstants(hbar=draw(st.sampled_from((1.0, 0.7))),
                                    mass=draw(st.sampled_from((1.0, 1.9))), dimension=d)
@@ -47,10 +48,11 @@ def wavefields(draw, box_n=6, harmonic_n=6, spread=2.0, wall=None):
         number = st.floats(-3.0, 3.0)
         lo, hi = np.full(d, -3.0), np.full(d, 3.0)
     terms = draw(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 2.0 * math.pi),
-                                    st.tuples(*[number] * d)), min_size=1, max_size=4))
+                                    st.tuples(*[number] * d)), min_size=1, max_size=4,
+                          unique_by=(lambda term: term[2]) if unique else None))
     sup = qm.Superposition.of(system, [(r * cmath.exp(1j * phi), n) for r, phi, n in terms])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_points = draw(st.integers(1, 8))
+    n_points = draw(st.integers(*n_points))
     x = rng.uniform(lo, hi, (n_points, d))
     if kind == "box" and wall is not None:
         depth = rng.uniform(-wall[0], wall[1], x.shape) * axes
@@ -64,7 +66,7 @@ SUBNORMAL_ULPS = 8 * np.finfo(float).smallest_subnormal
 
 
 def _floored(tol):
-    return max(tol, SUBNORMAL_ULPS)
+    return np.maximum(tol, SUBNORMAL_ULPS)
 
 
 def _point(sup, x):
@@ -230,3 +232,71 @@ def test_guidance_one_and_two_points_match_batched_rows(case):
                                                   amp_all[k], _point_sizes)
             assert abs(amp - amp_all[k]) <= rho_tol
             assert np.max(np.abs(v - v_all[k])) <= v_tol
+
+
+# three blocks of the batched kernel, the last one partial
+BATCH = 2 * qm.CHUNK + 17
+
+
+def _term_by_term(sup, x, t):
+    """(psi, grad psi with a trailing axis, lap psi) summed from `eigenfunction`, term by term."""
+    hbar = sup.system.constants.hbar
+    parts = []
+    for c, st_ in sup.terms:
+        w = c * np.exp(-1j * (st_.energy * np.asarray(t) / hbar))
+        v, g, l = qm.eigenfunction(sup.system, st_, x)
+        parts.append((w * v, w[..., None] * g.reshape(len(v), -1), w * l))
+    return [sum(p[i] for p in parts) for i in range(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=wavefields(n_points=(BATCH, BATCH)), per_point=st.booleans())
+def test_batched_kernel_matches_term_by_term_sums(case, per_point):
+    """Batched evaluation over several chunks against sums of per-term eigenfunctions.
+
+    evaluate_wavefunction, _guidance and _sampled_fields, with one time or
+    one per point; the bounds are 1e-12 of the term sizes over the batch.
+    """
+    sup, x, t = case
+    t = t if per_point else float(t[0])
+    c = sup.system.constants
+    xs = x[:, 0] if sup.system.dimension == 1 else x
+    psi, grad, lap = qm.evaluate_wavefunction(sup, xs, t)
+    ref = _term_by_term(sup, xs, t)
+    for got, want, size in zip((psi, grad.reshape(BATCH, -1), lap), ref, _term_sizes(sup, xs)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=_floored(1e-12 * size))
+    rho = np.abs(ref[0])
+    rho_tol, v_tol, q_tol = _field_tolerances(sup, xs, rho)
+    v, amp = bm._guidance(sup, x, t)
+    assert v.shape == x.shape and amp.shape == rho.shape
+    assert np.all(np.abs(amp - rho) <= rho_tol)
+    v_ref = qm.phase_gradient(ref[0], ref[1], c.hbar) / c.mass
+    assert np.all(np.max(np.abs(v - v_ref), axis=-1) <= v_tol)
+    rho_s, q, grad_sigma, bad = bm._sampled_fields(sup, x, t)
+    _, _, _, q_ref = qm._polar(*ref, c)
+    assert not np.any(bad)
+    assert np.all(np.abs(rho_s - rho) <= rho_tol)
+    assert np.all(np.max(np.abs(grad_sigma / c.mass - v_ref), axis=-1) <= v_tol)
+    assert np.all(np.abs(q - q_ref) <= q_tol)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("t", [0.3, np.empty(0)])
+def test_empty_batch_keeps_shapes(d, t):
+    system = sy.SolvableSystem("box", sy.SystemConstants(dimension=d), lengths=(1.0,) * d)
+    sup = qm.Superposition.of(system, [(1.0, (1,) * d), (0.5j, (2,) * d)])
+    x = np.empty((0, d))
+    psi, grad, lap = qm.evaluate_wavefunction(sup, x[:, 0] if d == 1 else x, t)
+    assert psi.shape == lap.shape == (0,) and grad.shape == ((0,) if d == 1 else (0, 2))
+    v, amp = bm._guidance(sup, x, t)
+    assert v.shape == (0, d) and amp.shape == (0,)
+    rho, q, grad_sigma, bad = bm._sampled_fields(sup, x, t)
+    assert rho.shape == q.shape == bad.shape == (0,) and grad_sigma.shape == (0, d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=wavefields(kinds=("box", "harmonic"), unique=True), t=st.floats(0.0, 5.0))
+def test_norm_quadrature_is_one(case, t):
+    """Gauss-Legendre quadrature of rho^2 over the effective domain, at any time."""
+    sup, _, _ = case
+    assert abs(qm.norm_quadrature(sup, t) - 1.0) < 1e-10

@@ -81,7 +81,21 @@ def test_van_vleck_harmonic_near_caustic(x1, x2, dt):
     k = sc.van_vleck_1d(ho, x1, x2, dt)
     exact = sc.exact_propagator_1d(ho, x1, x2, dt)
     assert k.contributing_paths == 1
-    assert abs(k.value - exact) / abs(exact) < 1e-9
+    assert abs(k.value - exact) / abs(exact) < 1e-10
+
+
+def test_van_vleck_harmonic_near_caustic_draws():
+    """Up to w dt = pi - 0.065 a root-tolerance miss of x2 costs p2 times the miss in R."""
+    w = 1.3
+    ho = sy.harmonic(w)
+    rng = np.random.default_rng(2026)
+    for _ in range(30):
+        x1, x2 = rng.uniform(-1.8, 1.8, 2)
+        dt = rng.uniform(math.pi - 0.39, math.pi - 0.065) / w
+        k = sc.van_vleck_1d(ho, x1, x2, dt)
+        exact = sc.exact_propagator_1d(ho, x1, x2, dt)
+        assert k.contributing_paths == 1
+        assert abs(k.value - exact) / abs(exact) < 1e-10
 
 
 def test_van_vleck_caustic_phase():
