@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .csvio import write_csv
 from .errors import DomainError, IntegrationError
+from .integrate import DenseOutput, solve_ivp
 from .systems import DiamagneticSystem, PhaseState, SolvableSystem
 
 __all__ = [
@@ -83,18 +83,20 @@ def _flow(y, eps):
             2.0 * eps * nu - 0.25 * nu * mu2 * (2.0 * nu2 + mu2))
 
 
-def _jacobian(y, eps):
-    """d(flow)/d(state) of the regularized system, 4x4."""
+def _tangent(y, eps, v):
+    """J(y) v for the regularized flow: _flow's derivative at y along v, component style.
+
+    v stacks tangent vectors as v[0:4], v[4:8], ...; so does the result.
+    """
     mu, nu = y[0], y[1]
     mu2, nu2 = mu * mu, nu * nu
     a = 2.0 * eps - 0.25 * nu2 * (6.0 * mu2 + nu2)
     b = -mu * nu * (mu2 + nu2)
     c = 2.0 * eps - 0.25 * mu2 * (6.0 * nu2 + mu2)
-    jac = np.zeros((4, 4))
-    jac[0, 2] = jac[1, 3] = 1.0
-    jac[2, 0], jac[2, 1] = a, b
-    jac[3, 0], jac[3, 1] = b, c
-    return jac
+    out = []
+    for j in range(0, len(v), 4):
+        out += (v[j + 2], v[j + 3], a * v[j] + b * v[j + 1], b * v[j] + c * v[j + 1])
+    return out
 
 
 def regularized_to_physical(y):
@@ -244,11 +246,8 @@ def _integrate_diamagnetic(system, y0, duration, tol, max_step, t_eval=None, t0=
                 y[2] * y[2] + y[3] * y[3])   # reduced action quadrature
 
     y0aug = np.concatenate([y0, [0.0, 0.0]])
-    res = solve_ivp(rhs, (t0, t0 + duration), y0aug, method="DOP853", rtol=tol,
-                    atol=tol, dense_output=True, max_step=max_step, t_eval=t_eval)
-    if res.status < 0:
-        raise IntegrationError(res.message, partial=(res.t, res.y[:4].T))
-    return res
+    return solve_ivp(rhs, (t0, t0 + duration), y0aug, rtol=tol, atol=tol,
+                     dense_output=True, max_step=max_step, t_eval=t_eval)
 
 
 def integrate_classical(system, initial: PhaseState, duration: float,
@@ -278,13 +277,22 @@ def integrate_classical(system, initial: PhaseState, duration: float,
     return _integrate_solvable(system, initial, duration, tol, max_step)
 
 
+def _stiffness(system):
+    """Per-axis k with force -k q: m w^2 for the oscillator, 0 for free and box."""
+    m = system.constants.mass
+    if system.kind == "harmonic":
+        return [m * w**2 for w in system.omegas]
+    return [0.0] * system.dimension
+
+
 def _solvable_rhs(system):
+    """Hamilton's equations (q', p') = (p/m, -k q), component style."""
     m = system.constants.mass
     d = system.dimension
+    k = _stiffness(system)
 
     def rhs(t, y):
-        q, p = y[:d], y[d:]
-        return np.concatenate([p / m, -np.atleast_1d(system.potential_gradient(q if d == 2 else q[0]))])
+        return [y[d + i] / m for i in range(d)] + [-k[i] * y[i] for i in range(d)]
 
     return rhs
 
@@ -413,24 +421,23 @@ def accessible_boundary(epsilon: float, n: int = 361) -> np.ndarray:
 
     The region is star shaped about the nucleus, so the boundary is the
     unique radius r(alpha) with -1/r + (r sin alpha)^2 / 8 = eps for each
-    polar angle alpha from the +z axis.
+    polar angle alpha from the +z axis, the root of the cubic
+    f(r) = r^3 sin^2(alpha) / 8 - eps r - 1.  f is increasing and convex for
+    r > 0 and f(-1/eps) >= 0, so Newton's iteration from r = -1/eps falls
+    monotonically onto the root, for every angle at once.
     """
     if epsilon >= 0:
         raise DomainError("accessible region is unbounded for epsilon >= 0")
     alphas = np.linspace(0.0, math.pi, n)
-    pts = np.empty((n, 2))
-    for i, a in enumerate(alphas):
-        s = math.sin(a)
-
-        def f(r):
-            return -1.0 / r + (r * s) ** 2 / 8.0 - epsilon
-
-        r_hi = -1.0 / epsilon
-        while f(r_hi) < 0:  # sin alpha ~ 0 keeps the bracket at the axial radius
-            r_hi *= 2.0
-        r = brentq(f, 1e-12, r_hi, xtol=1e-14, rtol=8.9e-16)
-        pts[i] = (r * s, r * math.cos(a))
-    return pts
+    a = np.sin(alphas) ** 2 / 8.0
+    r = np.full(n, -1.0 / epsilon)
+    while True:
+        r_next = r - (a * r**3 - epsilon * r - 1.0) / (3.0 * a * r * r - epsilon)
+        falling = r_next < r
+        if not np.any(falling):  # roundoff ends the descent
+            break
+        r = np.where(falling, r_next, r)
+    return np.stack([r * np.sin(alphas), r * np.cos(alphas)], axis=-1)
 
 
 def coverage_fraction(points, epsilon: float, grid: int = 100) -> float:
@@ -485,15 +492,13 @@ def lyapunov_exponent(system, initial: PhaseState, horizon: float,
             return _flow(y, system.epsilon)
     else:
         one = _solvable_rhs(system)
-    # coverage samples; t_eval would change the states carried between
-    # intervals, so solvable systems run without it
-    samples = max(4, int(20 * renorm_interval)) if diamagnetic else None
+    samples = max(4, int(20 * renorm_interval)) if diamagnetic else None  # for the coverage
     log_sum, _, _, _, ref = _renormalized_pair(solve_ivp, one, initial.as_array(), 0.0, horizon,
                                                renorm_interval, offset, tol, "DOP853",
                                                samples=samples)
     cov = 0.0
     if diamagnetic and system.epsilon < 0:
-        points = regularized_to_physical(np.concatenate(ref))[:, :2]
+        points = regularized_to_physical(ref)[:, :2]
         cov = coverage_fraction(points, system.epsilon, coverage_grid)
     return ChaosDiagnostics(log_sum / horizon, horizon, cov)
 
@@ -506,29 +511,32 @@ def _renormalized_pair(solve, one, y0, t0, horizon, renorm_interval, offset, tol
     of each `renorm_interval` (solved by the caller's `solve`) the log growth
     of their separation is summed and the separation is rescaled back to
     `offset`.  A terminal event among `events` ends the run early.  With
-    `samples`, each interval is sampled at that many points.  Returns
-    (log_sum, elapsed, renormalizations, stopped, reference samples).
+    `samples`, the reference is sampled at that many points per interval,
+    from one DOP853 dense output rebuilt over the steps of every interval.
+    Returns (log_sum, elapsed, renormalizations, stopped, reference samples
+    of shape (intervals * samples, dim) or None).
     """
     n = y0.size
     delta = np.full(n, offset / math.sqrt(n))
 
     def rhs(t, y):
-        return np.concatenate([one(t, y[:n]), one(t, y[n:])])
+        return [*one(t, y[:n]), *one(t, y[n:])]
 
     y = np.concatenate([y0, y0 + delta])
-    log_sum, n_renorm, ref = 0.0, 0, []
+    log_sum, n_renorm, steps, times, grid = 0.0, 0, [], [], []
     t_cur, t_end = t0, t0 + horizon
     while t_cur < t_end - 1e-12:
         t_next = min(t_cur + renorm_interval, t_end)
-        t_eval = np.linspace(t_cur, t_next, samples) if samples else None
-        res = solve(rhs, (t_cur, t_next), y, method=method, rtol=tol, atol=tol,
-                    t_eval=t_eval, events=events)
+        res = solve(rhs, (t_cur, t_next), y, method=method, rtol=tol, atol=tol, events=events)
         if res.status == 1:
-            return log_sum, float(res.t[-1]) - t0, n_renorm, True, ref
+            return log_sum, float(res.t[-1]) - t0, n_renorm, True, None
         if res.status < 0:
             raise IntegrationError(res.message)
         if samples:
-            ref.append(res.y[:n].T)
+            # each interval restarts from the last one's end: keep that step once
+            steps.append(res.y[:n, 1:] if steps else res.y[:n])
+            times.append(res.t[1:] if times else res.t)
+            grid.append(np.linspace(t_cur, t_next, samples))
         y = res.y[:, -1]
         sep = y[n:] - y[:n]
         dist = float(np.linalg.norm(sep))
@@ -540,6 +548,10 @@ def _renormalized_pair(solve, one, y0, t0, horizon, renorm_interval, offset, tol
             y[n:] = y[:n] + sep * (offset / dist)
         n_renorm += 1
         t_cur = t_next
+    ref = None
+    if samples:
+        dense = DenseOutput(one, np.concatenate(times), np.concatenate(steps, axis=1))
+        ref = dense(np.concatenate(grid)).T
     return log_sum, t_cur - t0, n_renorm, False, ref
 
 

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .classical import _flow, _jacobian, integrate_classical, launch_from_nucleus
+from .classical import _flow, _tangent, integrate_classical, launch_from_nucleus
 from .errors import DomainError, IntegrationError
+from .integrate import solve_ivp
 from .systems import DiamagneticSystem, PhaseState, SolvableSystem
 
 __all__ = [
@@ -62,10 +62,8 @@ def _close_approaches(system, theta, tau_max, tol, capture_radius, tau_min=0.05)
 
     radial_min.direction = 1.0
     y0 = launch_from_nucleus(theta).as_array()
-    res = solve_ivp(lambda t, y: _flow(y, system.epsilon), (0.0, tau_max), y0, method="DOP853",
+    res = solve_ivp(lambda t, y: _flow(y, system.epsilon), (0.0, tau_max), y0,
                     rtol=tol, atol=tol, events=[radial_min])
-    if res.status < 0:
-        raise IntegrationError(res.message)
     out = []
     for te, ye in zip(res.t_events[0], res.y_events[0]):
         if te < tau_min:
@@ -81,7 +79,7 @@ def _polish_return(system, theta, tau_guess, tol):
     """Locate the closest-approach time near tau_guess; returns (tau*, R*)."""
     y0 = launch_from_nucleus(theta).as_array()
     res = solve_ivp(lambda t, y: _flow(y, system.epsilon), (0.0, tau_guess * 1.05 + 0.2), y0,
-                    method="DOP853", rtol=tol, atol=tol, dense_output=True)
+                    rtol=tol, atol=tol, dense_output=True)
 
     def radial_rate(tau):
         y = res.sol(tau)
@@ -91,7 +89,7 @@ def _polish_return(system, theta, tau_guess, tol):
     lo = max(1e-3, tau_guess - 0.25)
     hi = min(res.t[-1], tau_guess + 0.25)
     grid = np.linspace(lo, hi, 101)
-    vals = np.array([radial_rate(t) for t in grid])
+    vals = radial_rate(grid)
     best = None
     for k in range(len(grid) - 1):
         if vals[k] < 0.0 <= vals[k + 1]:
@@ -135,22 +133,19 @@ def _monodromy(system, y0, tau_period, tol, n_check=2000):
 
     Conjugate points are sign changes of det(dq/dp0) strictly inside the
     interval; the refocusing zero at the endpoint itself is not counted.
+    The monodromy matrix M is carried by columns: z[4 + 4 j + i] = M[i][j].
     """
     eps = system.epsilon
 
     def rhs(t, z):
-        dm = _jacobian(z, eps) @ z[4:].reshape(4, 4)
-        return np.concatenate([_flow(z, eps), dm.reshape(-1)])
+        return [*_flow(z, eps), *_tangent(z, eps, z[4:])]
 
     z0 = np.concatenate([y0, np.eye(4).reshape(-1)])
     t_eval = np.linspace(0.0, tau_period, n_check)
-    res = solve_ivp(rhs, (0.0, tau_period), z0, method="DOP853", rtol=tol, atol=tol,
-                    t_eval=t_eval)
-    if res.status < 0:
-        raise IntegrationError(res.message)
-    m_final = res.y[4:, -1].reshape(4, 4)
-    # det of the position-vs-initial-momentum block along the way
-    dets = (res.y[4 + 2, :] * res.y[4 + 7, :] - res.y[4 + 3, :] * res.y[4 + 6, :])
+    res = solve_ivp(rhs, (0.0, tau_period), z0, rtol=tol, atol=tol, t_eval=t_eval)
+    m_final = res.y[4:, -1].reshape(4, 4).T
+    # det of the position-vs-initial-momentum block [[M02, M03], [M12, M13]] along the way
+    dets = res.y[4 + 8] * res.y[4 + 13] - res.y[4 + 12] * res.y[4 + 9]
     interior = dets[1:-1]
     signs = np.sign(interior[np.abs(interior) > 1e-13])
     flips = int(np.sum(signs[:-1] * signs[1:] < 0))

@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from .classical import _stiffness
 from .errors import DomainError, TurningPointError
+from .integrate import solve_ivp
 from .systems import SolvableSystem
 
 __all__ = [
@@ -75,44 +76,32 @@ def hamilton_jacobi_residual(action, x: float, t: float, system: SolvableSystem,
 
 
 def _shoot(system: SolvableSystem, x1: float, p0: float, dt: float, tol: float):
-    """Integrate (x, p, J, Jp, R) for time dt; J is the Jacobi field dx/dp0."""
+    """Integrate (x, p, J, Jp, R) for time dt; J is the Jacobi field dx/dp0.
+
+    The potential is quadratic, V = k x^2 / 2, so V'' = k drives the Jacobi field.
+    """
     m = system.constants.mass
-
-    if system.kind == "harmonic":
-        w2 = system.omegas[0] ** 2
-
-        def vpp(x):
-            return m * w2
-    else:
-
-        def vpp(x):
-            return 0.0
+    k = _stiffness(system)[0]
 
     def rhs(t, y):
         x, p, jx, jp, _ = y
-        return (
-            p / m,
-            -float(system.potential_gradient(np.asarray(x))),
-            jp / m,
-            -vpp(x) * jx,
-            p * p / (2.0 * m) - float(system.potential(np.asarray(x))),
-        )
+        return (p / m, -k * x, jp / m, -k * jx, p * p / (2.0 * m) - 0.5 * k * x * x)
 
-    res = solve_ivp(rhs, (0.0, dt), (x1, p0, 0.0, 1.0, 0.0), method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True)
-    return res
+    return solve_ivp(rhs, (0.0, dt), (x1, p0, 0.0, 1.0, 0.0), rtol=tol, atol=tol,
+                     dense_output=True)
 
 
 def _scan_endpoints(system: SolvableSystem, x1: float, p0_grid: np.ndarray,
                     dt: float, n_steps: int = 256) -> np.ndarray:
     """x(dt) for a batch of launch momenta; fixed-step RK4, bracketing accuracy."""
     m = system.constants.mass
+    k = _stiffness(system)[0]
     h = dt / n_steps
     x = np.full_like(p0_grid, x1, dtype=float)
     p = p0_grid.astype(float).copy()
 
     def f(x, p):
-        return p / m, -system.potential_gradient(x)
+        return p / m, -(k * x)
 
     for _ in range(n_steps):
         k1x, k1p = f(x, p)

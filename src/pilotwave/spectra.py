@@ -201,11 +201,13 @@ def trace_formula_density(system: SolvableSystem, families, energies,
                 continue
             s = float(fam.action(e))
             t = float(fam.period(e))
+            amp = None
             for k in range(1, repetitions + 1):
                 damp = math.exp(-0.5 * (k * t * gamma / hbar) ** 2)
                 if damp < 1e-16:
                     break
-                amp = fam.amplitude(e, k, hbar)
+                if amp is None or fam.orbit_class != "integrable_1d":  # T/(pi hbar) is k-free
+                    amp = fam.amplitude(e, k, hbar)
                 phase = k * s / hbar - k * fam.phase_per_period
                 osc[i] += amp * damp * math.cos(phase)
     return LevelDensity(energies, mean, osc, gamma)

@@ -6,6 +6,7 @@ from conftest import scan_segments
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from pilotwave import classical as cl
 from pilotwave import systems as sy
@@ -124,6 +125,24 @@ def test_accessible_boundary_closed_curve():
         cl.accessible_boundary(0.1)
 
 
+@pytest.mark.parametrize("eps", [-3.0, -1.0, -0.5, -0.15, -0.02])
+def test_accessible_boundary_radii_match_bracketed_roots(eps):
+    """The vectorized Newton radii against a brentq root of -1/r + (r sin a)^2/8 = eps."""
+    pts = cl.accessible_boundary(eps)
+    alphas = np.linspace(0.0, math.pi, pts.shape[0])
+    for a, r in zip(alphas, np.hypot(pts[:, 0], pts[:, 1])):
+        s = math.sin(a)
+
+        def f(r):
+            return -1.0 / r + (r * s) ** 2 / 8.0 - eps
+
+        r_hi = -1.0 / eps
+        while f(r_hi) < 0:
+            r_hi *= 2.0
+        root = brentq(f, 1e-12, r_hi, xtol=1e-15, rtol=8.9e-16)
+        assert abs(r / root - 1.0) <= 1e-14
+
+
 def test_coverage_fraction_bounds():
     rng = np.random.default_rng(1)
     pts = rng.uniform(-0.2, 0.2, size=(400, 2))
@@ -150,6 +169,20 @@ def test_lyapunov_regime_contrast():
                                    cl.launch_from_nucleus(0.9), horizon=150.0, tol=1e-8)
     assert chaotic.lyapunov_estimate > 0.1
     assert regular.lyapunov_estimate < chaotic.lyapunov_estimate / 5.0
+
+
+def test_pair_reference_samples_follow_the_reference_orbit():
+    """One dense output over every interval's steps samples the reference trajectory."""
+    eps, y0 = -1.0, cl.launch_from_nucleus(0.9).as_array()
+    _, elapsed, n_renorm, stopped, ref = cl._renormalized_pair(
+        cl.solve_ivp, lambda t, y: cl._flow(y, eps), y0, 0.0, 4.5, 1.0, 1e-8, 1e-12, "DOP853",
+        samples=7)
+    assert (elapsed, n_renorm, stopped) == (4.5, 5, False)
+    grid = np.concatenate([np.linspace(a, min(a + 1.0, 4.5), 7) for a in range(5)])
+    alone = cl.solve_ivp(lambda t, y: cl._flow(y, eps), (0.0, 4.5), y0, rtol=1e-12, atol=1e-12,
+                         dense_output=True)
+    assert ref.shape == (35, 4)
+    np.testing.assert_allclose(ref, alone.sol(grid).T, rtol=0, atol=1e-10)
 
 
 def test_poincare_rational_ratio_periodic():
@@ -305,7 +338,7 @@ def test_flow_jacobian_matches_central_differences(y, eps):
         yp[j] += h
         ym[j] -= h
         fd[:, j] = (np.array(cl._flow(yp, eps)) - np.array(cl._flow(ym, eps))) / (2.0 * h)
-    jac = cl._jacobian(y, eps)
+    jac = np.array([cl._tangent(y, eps, e) for e in np.eye(4)]).T  # columns J e_j
     assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
 
 

@@ -6,8 +6,10 @@ from pathlib import Path
 from pilotwave import bohmian as bm
 from pilotwave import classical as cl
 from pilotwave import ensembles as en
+from pilotwave import orbits as ob
 from pilotwave import quantum as qm
 from pilotwave import runner
+from pilotwave import semiclassical as sc
 from pilotwave import systems as sy
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -22,6 +24,7 @@ def _load_tracer():
 
 def test_tracer_counts_integrations_per_module(two_mode_box_complex):
     originals = [(bm, "solve_ivp"), (cl, "solve_ivp"), (en, "solve_ivp"),
+                 (ob, "solve_ivp"), (sc, "solve_ivp"),
                  (bm, "integrate_bohmian"), (cl, "lyapunov_exponent"),
                  (runner, "integrate_bohmian"), (en, "evolve_ensemble"),
                  (qm, "evaluate_wavefunction"), (bm, "evaluate_wavefunction"),
@@ -36,12 +39,16 @@ def test_tracer_counts_integrations_per_module(two_mode_box_complex):
         cl.lyapunov_exponent(sy.harmonic(1.0), sy.PhaseState((1.0,), (0.0,)), horizon=2.0)
         en.evolve_ensemble(ens, two_mode_box_complex, 0.1)
         bm.velocity_field(two_mode_box_complex, 0.3, 0.1)
+        ob.find_closed_orbits(sy.DiamagneticSystem.scaled(-1.0), n_angles=4)
+        sc.van_vleck_1d(sy.free_particle(), 0.2, 0.7, 0.5)
         metrics = tracer.metrics(1)
     finally:
         tracer.uninstall()
     assert metrics["integrate.bohmian.nfev"] > 0
     assert metrics["integrate.classical.nfev"] > 0
     assert metrics["integrate.ensembles.nfev"] > 0
+    assert metrics["integrate.orbits.nfev"] > 0
+    assert metrics["integrate.semiclassical.nfev"] > 0
     assert metrics["quantum.eval_calls"] > 0
     assert metrics["quantum.sample_calls"] > 0
     assert metrics["ensembles.evolve_s"] > 0
