@@ -9,8 +9,11 @@ alternating which checkout goes first, and appends one JSON line per run.
 Each line carries the machine (nproc, Python, numpy, scipy) and a sha256
 of the checkout's `src/` tree, so a file can be matched to the code it
 measured.  `write` turns the lines into one file per side, with each run
-and the median and quartiles of every end-to-end metric, and prints how
-often the head beat the base on the same seed.
+and the median and quartiles of every end-to-end metric.  For every
+workload and end-to-end metric it prints how often the head beat the base
+on the same seed, and the verdict on the metric's `BENCHMARK.json` bound:
+median(head) / median(base) - 1 at most the bound (for a metric where
+lower is better; the other way round otherwise), or REGRESSION.
 """
 
 from __future__ import annotations
@@ -90,8 +93,9 @@ def write(args) -> None:
     if bad:
         raise SystemExit(f"{len(bad)} runs did not finish, e.g. {bad[0]['side']} "
                          f"{bad[0]['workload']} seed {bad[0]['seed']}")
-    units = {m["name"]: m["unit"]
-             for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m
+               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    units = {name: m["unit"] for name, m in metrics.items()}
     workloads = list(dict.fromkeys(r["workload"] for r in records))
     seeds = sorted({r["seed"] for r in records})
     for side, path in (("base", args.base), ("head", args.head)):
@@ -117,9 +121,13 @@ def write(args) -> None:
             base = np.array([value["base", s] for s in seeds])
             head = np.array([value["head", s] for s in seeds])
             q1, med, q3 = np.percentile(base, [25, 50, 75])
+            change = np.median(head) / med - 1.0
+            worse = change if metrics[name]["better"] == "lower" else -change
+            verdict = "within" if worse <= metrics[name]["bound"] else "REGRESSION past"
             print(f"{w:18s} {name:12s} base {med:.4g} [{q1:.4g}, {q3:.4g}]  "
                   f"head {np.median(head):.4g}  head lower on {int(np.sum(head < base))}"
-                  f"/{len(seeds)} seeds")
+                  f"/{len(seeds)} seeds  median change {change:+.1%}: {verdict} "
+                  f"the {metrics[name]['bound']:.0%} bound")
 
 
 def main(argv=None) -> None:

@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .classical import _dense_at, _integrate_events, _renormalized_pair, _wall_events
+from .classical import _dense_at, _integrate_events, _tangent_rhs
 from .csvio import write_csv
-from .errors import DomainError, NodeSingularityError, PilotwaveError
+from .errors import DomainError, IntegrationError, NodeSingularityError, PilotwaveError
 from .quantum import (
     NODE_THRESHOLD_FACTOR,
     Superposition,
+    _point_hessian,
     _polar,
     amplitude_scale,
     evaluate_wavefunction,
@@ -92,6 +94,24 @@ def _point_guidance(sup: Superposition, p: list, t: float):
     return [hbar * (psi.conjugate() * g).imag / rho2 / m for g in grad], amp
 
 
+def _guidance_jacobian(sup: Superposition, p: list, t: float):
+    """(v, dv/dx rows) at one point p in Python floats, box points held as in `_guidance`.
+
+    With a = grad psi / psi, v = (hbar/m) Im a and
+    dv_i/dx_j = (hbar/m) Im(H_ij / psi - a_i a_j), H the Hessian of psi.
+    """
+    system = sup.system
+    if system.kind == "box":
+        pad = 1e-12 * max(system.lengths)
+        p = [min(max(xi, pad), L - pad) for xi, L in zip(p, system.lengths)]
+    psi, grad, hess = _point_hessian(sup, p, t)
+    q = system.constants.hbar / system.constants.mass
+    inv = 1.0 / psi
+    a = [g * inv for g in grad]
+    jac = [[q * (hij * inv - ai * aj).imag for hij, aj in zip(row, a)] for row, ai in zip(hess, a)]
+    return [q * ai.imag for ai in a], jac
+
+
 def _sampled_fields(sup: Superposition, x, t):
     """(rho, Q, grad sigma, bad) at points x of shape (N, D), one time each.
 
@@ -150,7 +170,6 @@ class BohmianTrajectory:
     x0: np.ndarray
     superposition: Superposition
     node_encounters: list = field(default_factory=list)
-    wall_breaches: list = field(default_factory=list)
     complete: bool = True
     _segments: list = field(default_factory=list, repr=False)
 
@@ -186,9 +205,9 @@ def integrate_bohmian(
 ) -> BohmianTrajectory:
     """Integrate dx/dt = v(x, t) from x0 over t_span.
 
-    Halts with a partial trajectory when the node guard band is entered.  A
-    numerical excursion outside a box domain is reflected back inside and
-    recorded as a tolerance breach (exact dynamics cannot leave the domain).
+    Halts with a partial trajectory when the node guard band is entered.
+    Every box wall is a node of every box state, so the guard also ends a
+    run that heads for a wall before it can leave the box.
     """
     system = sup.system
     d = system.dimension
@@ -209,23 +228,16 @@ def integrate_bohmian(
         return _guidance(sup, y, t)[1] - threshold
 
     node_event.terminal = True
-    walls = _wall_events(system)
-    node_encounters, wall_breaches = [], []
+    node_encounters = []
 
     def on_event(k, t, y):
-        if k == 0:
-            amp = float(_guidance(sup, y, t)[1])
-            node_encounters.append({"t": float(t), "x": y.tolist(), "rho": amp})
-            return None
-        i, wall, _ = walls[k - 1]
-        wall_breaches.append({"t": float(t), "x": y.tolist(), "axis": i})
-        y[i] = 2.0 * wall - y[i]  # reflect back inside
-        return y
+        amp = float(_guidance(sup, y, t)[1])
+        node_encounters.append({"t": float(t), "x": y.tolist(), "rho": amp})
 
     span = abs(t1 - t0)
     times, positions, segments = _integrate_events(
-        solve_ivp, rhs, (t0, t1), x0, [node_event] + [e for _, _, e in walls], on_event,
-        200, method, tol, min(max_step, span / 32) if span > 0 else max_step)
+        solve_ivp, rhs, (t0, t1), x0, [node_event], on_event,
+        1, method, tol, min(max_step, span / 32) if span > 0 else max_step)
     rho, qv, grad_sigma, bad = _sampled_fields(sup, positions, times)
     velocities = grad_sigma / system.constants.mass
     velocities[bad], qv[bad], rho[bad] = np.nan, np.nan, 0.0  # exact node or overflow
@@ -238,7 +250,6 @@ def integrate_bohmian(
         x0=x0,
         superposition=sup,
         node_encounters=node_encounters,
-        wall_breaches=wall_breaches,
         complete=not node_encounters,
         _segments=segments,
     )
@@ -285,11 +296,15 @@ def newtonian_residual(traj: BohmianTrajectory, sup: Superposition,
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
-    """Finite-time divergence-rate estimate from a renormalized pair."""
+    """Finite-time Lyapunov estimate of the guidance flow.
+
+    `value` is the mean log growth rate of a tangent vector over `horizon`,
+    the time actually integrated; `partial` marks a run the node guard ended
+    before the requested horizon.
+    """
 
     value: float
     horizon: float
-    renormalizations: int
     partial: bool = False
 
 
@@ -297,33 +312,38 @@ def bohmian_lyapunov(
     sup: Superposition,
     x0,
     horizon: float,
-    renorm_interval: float = 1.0,
-    offset: float = 1e-9,
     tol: float = 1e-9,
     t0: float = 0.0,
 ) -> LyapunovEstimate:
     """Largest finite-time Lyapunov exponent of the guidance flow at x0.
 
-    Two trajectories separated by `offset` are integrated jointly; the
-    separation is renormalized every `renorm_interval` and the mean log
-    growth rate is returned.  A node halt yields a partial estimate with the
-    flag set.
+    One RK45 run carries the position, a unit tangent vector and its
+    accumulated log growth (`classical._tangent_rhs`), with the guidance
+    Jacobian from the Hessian of psi (`_guidance_jacobian`).  A node halt
+    yields a partial estimate with the flag set.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    d = x0.size
     threshold = _node_threshold(sup)
 
-    def one(t, x):
-        return _guidance(sup, x, t)[0]
+    def field(t, x, u):
+        v, jac = _guidance_jacobian(sup, x, t)
+        return v, [sum(map(mul, row, u)) for row in jac]
 
-    def node_event(t, y):
-        return np.min(_guidance(sup, y.reshape(2, -1), t)[1]) - threshold  # both members
+    tangent = _tangent_rhs(d, field)
+
+    def node_event(t, z):
+        return _guidance(sup, z[:d], t)[1] - threshold
 
     node_event.terminal = True
-    log_sum, elapsed, n_renorm, partial, _ = _renormalized_pair(
-        solve_ivp, one, x0, t0, horizon, renorm_interval, offset, tol, "RK45",
-        events=[node_event])
-    value = log_sum / elapsed if elapsed > 0 else 0.0
-    return LyapunovEstimate(value, elapsed, n_renorm, partial)
+    z0 = np.concatenate([x0, np.full(d, 1.0 / math.sqrt(d)), [0.0]])
+    res = solve_ivp(lambda t, z: tangent(t, z.tolist()), (t0, t0 + horizon), z0,
+                    method="RK45", rtol=tol, atol=tol, events=[node_event])
+    if res.status < 0:
+        raise IntegrationError(res.message)
+    elapsed = float(res.t[-1]) - t0
+    value = float(res.y[-1, -1]) / elapsed if elapsed > 0 else 0.0
+    return LyapunovEstimate(value, elapsed, res.status == 1)
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .csvio import write_csv
 from .errors import DomainError, IntegrationError
-from .integrate import DenseOutput, solve_ivp
+from .integrate import solve_ivp
 from .systems import DiamagneticSystem, PhaseState, SolvableSystem
 
 __all__ = [
@@ -468,7 +469,12 @@ def coverage_fraction(points, epsilon: float, grid: int = 100) -> float:
 
 @dataclass(frozen=True)
 class ChaosDiagnostics:
-    """Finite-time Lyapunov estimate plus phase-space exploration summaries."""
+    """Finite-time Lyapunov estimate and phase-space coverage of one run.
+
+    `lyapunov_estimate` is the mean log growth rate of a tangent vector over
+    `horizon`; `coverage_fraction` is the share of accessible-region cells the
+    orbit visits (0 outside the bound diamagnetic regime).
+    """
 
     lyapunov_estimate: float
     horizon: float
@@ -476,83 +482,57 @@ class ChaosDiagnostics:
 
 
 def lyapunov_exponent(system, initial: PhaseState, horizon: float,
-                      renorm_interval: float = 1.0, offset: float = 1e-8,
                       tol: float = 1e-9, coverage_grid: int = 100) -> ChaosDiagnostics:
-    """Largest finite-time Lyapunov exponent by two-trajectory renormalization.
+    """Largest finite-time Lyapunov exponent from one run of the tangent flow.
 
-    The reference and a companion displaced by `offset` are integrated
-    jointly; every `renorm_interval` the separation is rescaled back to
-    `offset` and its log growth accumulated.  For the diamagnetic system the
-    rate is per unit rescaled time and the accessible-region coverage of the
-    reference trajectory is measured on the side.
+    For the diamagnetic system the rate is per unit rescaled time, and the
+    coverage comes from samples of the same run (`_tangent_run`).
     """
-    diamagnetic = isinstance(system, DiamagneticSystem)
-    if diamagnetic:
-        def one(t, y):
-            return _flow(y, system.epsilon)
-    else:
-        one = _solvable_rhs(system)
-    samples = max(4, int(20 * renorm_interval)) if diamagnetic else None  # for the coverage
-    log_sum, _, _, _, ref = _renormalized_pair(solve_ivp, one, initial.as_array(), 0.0, horizon,
-                                               renorm_interval, offset, tol, "DOP853",
-                                               samples=samples)
+    res = _tangent_run(system, initial.as_array(), horizon, tol)
     cov = 0.0
-    if diamagnetic and system.epsilon < 0:
-        points = regularized_to_physical(ref)[:, :2]
+    if isinstance(system, DiamagneticSystem) and system.epsilon < 0:
+        points = regularized_to_physical(res.y[:4].T)[:, :2]
         cov = coverage_fraction(points, system.epsilon, coverage_grid)
-    return ChaosDiagnostics(log_sum / horizon, horizon, cov)
+    return ChaosDiagnostics(float(res.y[-1, -1]) / horizon, horizon, cov)
 
 
-def _renormalized_pair(solve, one, y0, t0, horizon, renorm_interval, offset, tol, method,
-                       events=None, samples=None):
-    """Benettin's renormalized pair for the flow dy/dt = one(t, y) from y0 at t0.
+def _tangent_rhs(n, field):
+    """Right-hand side of (y, u, Lambda) for a flow y' = f(t, y) of dimension n.
 
-    A companion displaced by `offset` runs next to the reference; at the end
-    of each `renorm_interval` (solved by the caller's `solve`) the log growth
-    of their separation is summed and the separation is rescaled back to
-    `offset`.  A terminal event among `events` ends the run early.  With
-    `samples`, the reference is sampled at that many points per interval,
-    from one DOP853 dense output rebuilt over the steps of every interval.
-    Returns (log_sum, elapsed, renormalizations, stopped, reference samples
-    of shape (intervals * samples, dim) or None).
+    field(t, y, u) returns (f, J u), J the flow's Jacobian at y.  The unit
+    tangent vector u is renormalized continuously, u' = J u - (u . J u) u, and
+    Lambda' = u . J u sums its log growth, so Lambda(T) / T is the finite-time
+    Lyapunov exponent (Benettin et al., Meccanica 15 (1980); Goldhirsch,
+    Sulem and Orszag, Physica D 27 (1987) 311).  Component style.
     """
-    n = y0.size
-    delta = np.full(n, offset / math.sqrt(n))
+    def rhs(t, z):
+        u = z[n:2 * n]
+        f, ju = field(t, z[:n], u)
+        growth = sum(map(mul, u, ju))
+        return (*f, *[a - growth * b for a, b in zip(ju, u)], growth)
 
-    def rhs(t, y):
-        return [*one(t, y[:n]), *one(t, y[n:])]
+    return rhs
 
-    y = np.concatenate([y0, y0 + delta])
-    log_sum, n_renorm, steps, times, grid = 0.0, 0, [], [], []
-    t_cur, t_end = t0, t0 + horizon
-    while t_cur < t_end - 1e-12:
-        t_next = min(t_cur + renorm_interval, t_end)
-        res = solve(rhs, (t_cur, t_next), y, method=method, rtol=tol, atol=tol, events=events)
-        if res.status == 1:
-            return log_sum, float(res.t[-1]) - t0, n_renorm, True, None
-        if res.status < 0:
-            raise IntegrationError(res.message)
-        if samples:
-            # each interval restarts from the last one's end: keep that step once
-            steps.append(res.y[:n, 1:] if steps else res.y[:n])
-            times.append(res.t[1:] if times else res.t)
-            grid.append(np.linspace(t_cur, t_next, samples))
-        y = res.y[:, -1]
-        sep = y[n:] - y[:n]
-        dist = float(np.linalg.norm(sep))
-        if dist == 0.0:
-            # identical to machine precision: no divergence contribution
-            y[n:] = y[:n] + delta
-        else:
-            log_sum += math.log(dist / offset)
-            y[n:] = y[:n] + sep * (offset / dist)
-        n_renorm += 1
-        t_cur = t_next
-    ref = None
-    if samples:
-        dense = DenseOutput(one, np.concatenate(times), np.concatenate(steps, axis=1))
-        ref = dense(np.concatenate(grid)).T
-    return log_sum, t_cur - t0, n_renorm, False, ref
+
+def _tangent_run(system, y0, horizon, tol):
+    """DOP853 run of `_tangent_rhs` from y0, u along (1, ..., 1), over [0, horizon].
+
+    A solvable flow is linear, so J u is its right-hand side at u.  A
+    diamagnetic run is sampled 20 times per unit time for the coverage, both
+    ends of each unit interval included.
+    """
+    n, t_eval = y0.size, None
+    if isinstance(system, DiamagneticSystem):
+        eps = system.epsilon
+        field = lambda t, y, u: (_flow(y, eps), _tangent(y, eps, u))  # noqa: E731
+        t_eval = np.concatenate([np.linspace(a, min(a + 1.0, horizon), 20)
+                                 for a in np.arange(0.0, horizon - 1e-12, 1.0)])
+    else:
+        flow = _solvable_rhs(system)
+        field = lambda t, y, u: (flow(t, y), flow(t, u))  # noqa: E731
+    z0 = np.concatenate([y0, np.full(n, 1.0 / math.sqrt(n)), [0.0]])
+    return solve_ivp(_tangent_rhs(n, field), (0.0, horizon), z0, rtol=tol, atol=tol,
+                     t_eval=t_eval)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,7 @@ KINDS = ("classical", "bohmian", "ensemble", "recurrence", "trace", "compare")
 QUANTUM_KINDS = ("bohmian", "ensemble", "recurrence")
 
 # field name -> (type or nested schema, required, default)
-_LYAPUNOV = {
-    "horizon": (float, True, None),
-    "renorm_interval": (float, False, 1.0),
-    "offset": (float, False, None),
-}
+_LYAPUNOV = {"horizon": (float, True, None)}
 _RUN_SCHEMAS = {
     "classical": {
         "launch_angle": (float, True, None),

@@ -75,31 +75,11 @@ def _close_approaches(system, theta, tau_max, tol, capture_radius, tau_min=0.05)
     return out
 
 
-def _polish_return(system, theta, tau_guess, tol):
-    """Locate the closest-approach time near tau_guess; returns (tau*, R*)."""
-    y0 = launch_from_nucleus(theta).as_array()
-    res = solve_ivp(lambda t, y: _flow(y, system.epsilon), (0.0, tau_guess * 1.05 + 0.2), y0,
-                    rtol=tol, atol=tol, dense_output=True)
-
-    def radial_rate(tau):
-        y = res.sol(tau)
-        return y[0] * y[2] + y[1] * y[3]
-
-    # the closest approach is a negative-to-positive zero of d(R^2)/dtau
-    lo = max(1e-3, tau_guess - 0.25)
-    hi = min(res.t[-1], tau_guess + 0.25)
-    grid = np.linspace(lo, hi, 101)
-    vals = radial_rate(grid)
-    best = None
-    for k in range(len(grid) - 1):
-        if vals[k] < 0.0 <= vals[k + 1]:
-            root = brentq(radial_rate, grid[k], grid[k + 1], xtol=1e-15, rtol=8.9e-16)
-            if best is None or abs(root - tau_guess) < abs(best - tau_guess):
-                best = root
-    if best is None:
-        best = tau_guess
-    y = res.sol(best)
-    return float(best), math.hypot(y[0], y[1])
+def _nearest_approach(system, theta, tau_ref, tau_max, tol, capture_radius, window):
+    """The close approach (tau, R, miss L) of one launch nearest tau_ref within `window`."""
+    near = [a for a in _close_approaches(system, theta, tau_max, tol, capture_radius)
+            if abs(a[0] - tau_ref) < window]
+    return min(near, key=lambda a: abs(a[0] - tau_ref)) if near else None
 
 
 def _build_orbit(system, theta, tau_period, tol, n_samples=2001):
@@ -180,17 +160,11 @@ def find_closed_orbits(
 
     # symmetric seeds: exact closures on the axis and in the z = 0 plane
     for th in (0.0, math.pi / 4.0):
-        for tau_e, r_e, _ in scan.get(th, []):
-            tau_star, resid = _polish_return(system, th, tau_e, tol)
-            if resid <= closure_tol:
-                found.append((th, tau_star))
+        found += [(th, tau_e) for tau_e, r_e, _ in scan.get(th, []) if r_e <= closure_tol]
 
     def tracked_miss(theta, tau_ref):
-        approaches = _close_approaches(system, theta, tau_max, tol, capture_radius)
-        near = [a for a in approaches if abs(a[0] - tau_ref) < match_window]
-        if not near:
-            return None
-        return min(near, key=lambda a: abs(a[0] - tau_ref))
+        return _nearest_approach(system, theta, tau_ref, tau_max, tol, capture_radius,
+                                 match_window)
 
     for th_a, th_b in zip(angles[:-1], angles[1:]):
         for tau_a, r_a, miss_a in scan[th_a]:
@@ -216,7 +190,7 @@ def find_closed_orbits(
                 diagnostics.append({"bracket": (float(th_a), float(th_b)),
                                     "tau": float(tau_a), "reason": str(exc)})
                 continue
-            tau_star, resid = _polish_return(system, theta_star, tau_track["tau"], tol)
+            tau_star, resid, _ = tracked_miss(theta_star, tau_track["tau"]) or (0.0, math.inf, 0.0)
             if resid <= closure_tol:
                 found.append((theta_star, tau_star))
             else:
@@ -254,6 +228,10 @@ def continue_orbit(system: DiamagneticSystem, orbit: ClosedOrbit,
     a small bracket around the previous angle.
     """
     th0 = orbit.launch_angle
+
+    def closure(theta, tau_ref):
+        return _nearest_approach(system, theta, tau_ref, orbit.tau_period * 1.3, tol, 0.5, 0.35)
+
     symmetric = min(abs(th0 - 0.0), abs(th0 - math.pi / 4.0), abs(th0 - math.pi / 2.0)) < 1e-12
 
     def residual_free_theta():
@@ -261,12 +239,9 @@ def continue_orbit(system: DiamagneticSystem, orbit: ClosedOrbit,
         tau_track = {"tau": orbit.tau_period}
 
         def f(theta):
-            approaches = _close_approaches(system, theta, orbit.tau_period * 1.3,
-                                           tol, 0.5)
-            near = [a for a in approaches if abs(a[0] - tau_track["tau"]) < 0.35]
-            if not near:
+            best = closure(theta, tau_track["tau"])
+            if best is None:
                 raise IntegrationError("lost the closure during continuation")
-            best = min(near, key=lambda a: abs(a[0] - tau_track["tau"]))
             tau_track["tau"] = best[0]
             return best[2]
 
@@ -280,7 +255,7 @@ def continue_orbit(system: DiamagneticSystem, orbit: ClosedOrbit,
         theta, tau_ref = th0, orbit.tau_period
     else:
         theta, tau_ref = residual_free_theta()
-    tau_star, resid = _polish_return(system, theta, tau_ref, tol)
+    tau_star, resid, _ = closure(theta, tau_ref) or (0.0, math.inf, 0.0)
     if resid > closure_tol:
         raise IntegrationError(f"continuation closure residual {resid:.2e}")
     return _build_orbit(system, theta, tau_star, tol)

@@ -338,6 +338,31 @@ def _term_sum(sup: Superposition, point, t, lib):
     return psi, grad, lap
 
 
+def _point_hessian(sup: Superposition, point: list, t: float):
+    """(psi, gradient, Hessian rows) at one point in Python scalars.
+
+    It reads `_term_sum`'s ladders but stays apart from `_term_sum`, which
+    serves every wavefield call and need not pay for the Hessian.
+    """
+    axes, terms = sup._plan
+    tables = [ladder(constants, xi, _SCALAR) for (ladder, constants), xi in zip(axes, point)]
+    hbar, d = sup.system.constants.hbar, len(point)
+    total = [0.0] * (1 + d + d * d)  # psi, the gradient, then the Hessian row by row
+    for c, energy, n in terms:
+        if not tables:  # free: plane wave exp(i k . x)
+            v = cmath.exp(1j * sum(ki * xi for ki, xi in zip(n, point)))
+            parts = [v, *[1j * ki * v for ki in n], *[-ki * kj * v for ki in n for kj in n]]
+        elif len(tables) == 1:
+            parts = tables[0][n[0]]
+        else:
+            (vx, gx, lx), (vy, gy, ly) = tables[0][n[0]], tables[1][n[1]]
+            gxy = gx * gy
+            parts = [vx * vy, gx * vy, vx * gy, lx * vy, gxy, gxy, vx * ly]
+        w = c * cmath.exp(-1j * (energy * t / hbar))
+        total = [b + w * a for b, a in zip(total, parts)]
+    return total[0], total[1:d + 1], [total[d + 1 + d * i:d + 1 + d * (i + 1)] for i in range(d)]
+
+
 # rows per block of a batched evaluation: 64 KiB per complex array, below
 # glibc's 128 KiB mmap threshold, so a block's temporaries reuse freed memory
 # instead of faulting in fresh pages, and no full-size term table exists

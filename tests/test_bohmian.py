@@ -162,6 +162,15 @@ def test_bohmian_lyapunov_stationary(ho1d):
     assert not est.partial
 
 
+def test_bohmian_lyapunov_tolerance_independent(chaotic_aniso_state):
+    """The criterion-8 state's tangent-flow rate over 10 time units, at two tolerances."""
+    coarse, fine = (bm.bohmian_lyapunov(chaotic_aniso_state, [-0.4, -0.8], 10.0, tol=tol, t0=1.0)
+                    for tol in (1e-9, 1e-11))
+    assert not coarse.partial and not fine.partial
+    assert coarse.horizon == fine.horizon == 10.0
+    assert abs(coarse.value / fine.value - 1.0) < 1e-6
+
+
 def test_bohmian_lyapunov_two_mode_regular(two_mode_box):
     est = bm.bohmian_lyapunov(two_mode_box, [0.3], horizon=60.0, tol=1e-9)
     assert est.value <= 0.01

@@ -171,18 +171,19 @@ def test_lyapunov_regime_contrast():
     assert regular.lyapunov_estimate < chaotic.lyapunov_estimate / 5.0
 
 
-def test_pair_reference_samples_follow_the_reference_orbit():
-    """One dense output over every interval's steps samples the reference trajectory."""
-    eps, y0 = -1.0, cl.launch_from_nucleus(0.9).as_array()
-    _, elapsed, n_renorm, stopped, ref = cl._renormalized_pair(
-        cl.solve_ivp, lambda t, y: cl._flow(y, eps), y0, 0.0, 4.5, 1.0, 1e-8, 1e-12, "DOP853",
-        samples=7)
-    assert (elapsed, n_renorm, stopped) == (4.5, 5, False)
-    grid = np.concatenate([np.linspace(a, min(a + 1.0, 4.5), 7) for a in range(5)])
-    alone = cl.solve_ivp(lambda t, y: cl._flow(y, eps), (0.0, 4.5), y0, rtol=1e-12, atol=1e-12,
-                         dense_output=True)
-    assert ref.shape == (35, 4)
-    np.testing.assert_allclose(ref, alone.sol(grid).T, rtol=0, atol=1e-10)
+def test_coverage_samples_follow_the_classical_orbit():
+    """The tangent run samples integrate_classical's orbit, 20 times per unit time.
+
+    Both ends of every unit interval are sampled, and the tangent vector
+    stays a unit vector.
+    """
+    system, initial = sy.DiamagneticSystem.scaled(-1.0), cl.launch_from_nucleus(0.9)
+    res = cl._tangent_run(system, initial.as_array(), 4.5, 1e-12)
+    grid = np.concatenate([np.linspace(a, min(a + 1.0, 4.5), 20) for a in range(5)])
+    np.testing.assert_array_equal(res.t, grid)
+    orbit = cl.integrate_classical(system, initial, 4.5, tol=1e-12)
+    np.testing.assert_allclose(res.y[:4].T, orbit.at(grid)[:, :4], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(np.linalg.norm(res.y[4:8], axis=0), 1.0, rtol=0, atol=1e-10)
 
 
 def test_poincare_rational_ratio_periodic():

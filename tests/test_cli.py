@@ -76,6 +76,10 @@ def test_unknown_fields_rejected(tmp_path):
     doc2["unexpected"] = {}
     with pytest.raises(ConfigError):
         validate_scenario(doc2)
+    for knob in ("offset", "renorm_interval"):  # the lyapunov block takes a horizon only
+        with pytest.raises(ConfigError) as err:
+            validate_scenario(_classical_doc(lyapunov={"horizon": 10.0, knob: 1.0}))
+        assert f"run.lyapunov.{knob}" in str(err.value)
 
 
 def test_schema_version_enforced():
@@ -198,7 +202,7 @@ def test_compare_scenarios(tmp_path):
                             {"c_re": 0.0, "c_im": 0.8, "n": [1, 1]},
                             {"c_re": 0.7, "c_im": 0.0, "n": [0, 2]}]},
         "run": {"x0": [-0.4, -0.8], "t0": 1.0, "t1": 3.0,
-                "lyapunov": {"horizon": 80.0, "offset": 1e-9}},
+                "lyapunov": {"horizon": 80.0}},
     }
     boh = _write(tmp_path / "boh.json", doc)
     run_scenario(boh, out_dir=tmp_path / "boh")

@@ -1,5 +1,5 @@
-"""Properties of the guidance velocity, the batched polar decomposition and
-the one-point wavefield path.
+"""Properties of the guidance velocity and its Jacobian, the batched polar
+decomposition and the one-point wavefield path.
 
 Random box, harmonic and free superpositions in 1D and 2D, with non-unit
 hbar and mass among them, evaluated at random points and times.
@@ -300,3 +300,42 @@ def test_norm_quadrature_is_one(case, t):
     """Gauss-Legendre quadrature of rho^2 over the effective domain, at any time."""
     sup, _, _ = case
     assert abs(qm.norm_quadrature(sup, t) - 1.0) < 1e-10
+
+
+def _central_jacobian(sup, x, t, h):
+    """dv_i/dx_j by central differences of `_guidance`'s v with step h, one batched call."""
+    d = sup.system.dimension
+    steps = h * np.eye(d)
+    v, _ = bm._guidance(sup, np.concatenate([x + steps, x - steps]), t)
+    return ((v[:d] - v[d:]) / (2.0 * h)).T
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=wavefields())
+def test_guidance_jacobian_matches_central_differences(case):
+    """`_guidance_jacobian` against central differences of v; trace H against lap psi.
+
+    The difference quotient's own error is estimated from two steps: its
+    leading term goes as h^2, so D(h/2) - J is about (D(h) - D(h/2)) / 3,
+    and the bound allows the whole |D(h) - D(h/2)|.  Points where |psi| is
+    below 5% of the term sizes skip the Jacobian check, since v varies on
+    the scale of the distance to a node there.
+    """
+    sup, x, t = case
+    c = sup.system.constants
+    for i in range(t.size):
+        point = x[i].tolist()
+        psi, _, hess = qm._point_hessian(sup, point, t[i])
+        _, _, lap = qm.evaluate_wavefunction(sup, _point(sup, x[i]), t[i])
+        a, g, l = _term_sizes(sup, _point(sup, x[i]))
+        assert abs(sum(hess[k][k] for k in range(len(point))) - lap) <= _floored(1e-12 * l)
+        if abs(psi) < 0.05 * a:
+            continue
+        v, jac = bm._guidance_jacobian(sup, point, t[i])
+        v_ref, _ = bm._guidance(sup, x[i], t[i])
+        _, v_tol, _ = _field_tolerances(sup, _point(sup, x[i]), abs(psi))
+        assert np.max(np.abs(np.array(v) - v_ref)) <= 4.0 * v_tol
+        h = 1e-4
+        coarse, fine = (_central_jacobian(sup, x[i], t[i], step) for step in (h, h / 2))
+        bound = np.abs(coarse - fine) + 8.0 * v_tol / h + 1e-9 * c.hbar / c.mass * g * g / a**2
+        assert np.all(np.abs(np.array(jac) - fine) <= bound)
