@@ -1,19 +1,25 @@
 """Paired benchmark runs of two checkouts, written as BENCH_<n>.json files.
 
     python3 scripts/bench_set.py run --base DIR --head DIR --seeds 11-20 --out runs.jsonl
+    python3 scripts/bench_set.py run --base DIR --head DIR --seeds 11 --trace --out runs.jsonl
     python3 scripts/bench_set.py write runs.jsonl --base BENCH_5.json --head BENCH_6.json
 
 `run` calls `perfbench/run.py --workload W --seed S --seconds 25 --trace 0`
 in each checkout, for every workload of `BENCHMARK.json` and every seed,
-alternating which checkout goes first, and appends one JSON line per run.
+alternating which checkout goes first, and appends one JSON line per run;
+with --trace it makes traced runs (`--trace 1`), which report the per-layer
+metrics instead and count towards no end-to-end statistic.
 Each line carries the machine (nproc, Python, numpy, scipy) and a sha256
 of the checkout's `src/` tree, so a file can be matched to the code it
 measured.  `write` turns the lines into one file per side, with each run
-and the median and quartiles of every end-to-end metric.  For every
+and the median and quartiles of every end-to-end metric, and each traced
+run's per-layer metrics under `traced`.  For every
 workload and end-to-end metric it prints how often the head beat the base
 on the same seed, and the verdict on the metric's `BENCHMARK.json` bound:
 median(head) / median(base) - 1 at most the bound (for a metric where
-lower is better; the other way round otherwise), or REGRESSION.
+lower is better; the other way round otherwise), or REGRESSION.  Then it
+prints the traced table: every per-layer metric of each workload, base and
+head side by side.
 """
 
 from __future__ import annotations
@@ -61,12 +67,13 @@ def run(args) -> None:
         for i, seed in enumerate(seed_range(args.seeds)):
             for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
                 cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-                       "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+                       "--seed", str(seed), "--seconds", str(SECONDS),
+                       "--trace", str(int(args.trace))]
                 proc = subprocess.run(cmd, cwd=sides[side], capture_output=True, text=True)
                 lines = proc.stdout.strip().splitlines()
                 record = {"side": side, "workload": workload, "seed": seed,
-                          "src_sha256": digests[side], "machine": machine(),
-                          "returncode": proc.returncode,
+                          "trace": int(args.trace), "src_sha256": digests[side],
+                          "machine": machine(), "returncode": proc.returncode,
                           "result": json.loads(lines[-1]) if lines else None}
                 with open(args.out, "a") as fh:
                     fh.write(json.dumps(record) + "\n")
@@ -88,18 +95,20 @@ def summary(records: list[dict], units: dict) -> dict:
 
 
 def write(args) -> None:
-    records = [json.loads(line) for line in open(args.runs)]
-    bad = [r for r in records if r["returncode"] != 0 or r["result"] is None]
+    lines = [json.loads(line) for line in open(args.runs)]
+    bad = [r for r in lines if r["returncode"] != 0 or r["result"] is None]
     if bad:
         raise SystemExit(f"{len(bad)} runs did not finish, e.g. {bad[0]['side']} "
                          f"{bad[0]['workload']} seed {bad[0]['seed']}")
     metrics = {m["name"]: m
                for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     units = {name: m["unit"] for name, m in metrics.items()}
+    records = [r for r in lines if not r.get("trace")]
+    traced = [r for r in lines if r.get("trace")]
     workloads = list(dict.fromkeys(r["workload"] for r in records))
     seeds = sorted({r["seed"] for r in records})
     for side, path in (("base", args.base), ("head", args.head)):
-        mine = [r for r in records if r["side"] == side]
+        mine = [r for r in lines if r["side"] == side]
         for key in ("src_sha256", "machine"):
             if len({json.dumps(r[key]) for r in mine}) != 1:
                 raise SystemExit(f"{side} runs differ in {key}")
@@ -107,12 +116,18 @@ def write(args) -> None:
                "src_sha256": mine[0]["src_sha256"], "machine": mine[0]["machine"],
                "command": f"python3 perfbench/run.py --workload W --seed S "
                           f"--seconds {SECONDS} --trace 0",
-               "protocol": f"seeds {seeds[0]}-{seeds[-1]}, one run per seed and workload, "
-                           "paired with a run of the other checkout on the same seed, "
-                           "alternating which ran first",
+               "protocol": f"seeds {', '.join(map(str, seeds))}, one run per seed and "
+                           "workload, paired with a run of the other checkout on the same "
+                           "seed, alternating which ran first",
                "quartiles": "numpy.percentile 25/50/75, linear interpolation",
-               "workloads": {w: summary([r for r in mine if r["workload"] == w], units)
+               "workloads": {w: summary([r for r in mine if r["workload"] == w
+                                         and not r.get("trace")], units)
                              for w in workloads}}
+        for r in mine:
+            if r.get("trace"):
+                doc["workloads"].setdefault(r["workload"], {}).setdefault("traced", []).append(
+                    {"seed": r["seed"], "correct": r["result"]["correct"],
+                     "metrics": {k: v["value"] for k, v in r["result"]["metrics"].items()}})
         Path(path).write_text(json.dumps(doc, indent=1) + "\n")
     for w in workloads:
         for name in units:
@@ -128,6 +143,14 @@ def write(args) -> None:
                   f"head {np.median(head):.4g}  head lower on {int(np.sum(head < base))}"
                   f"/{len(seeds)} seeds  median change {change:+.1%}: {verdict} "
                   f"the {metrics[name]['bound']:.0%} bound")
+    for r in traced:
+        if r["side"] == "base":
+            head = next((h for h in traced if h["side"] == "head"
+                         and (h["workload"], h["seed"]) == (r["workload"], r["seed"])), None)
+            print(f"\ntraced {r['workload']}, seed {r['seed']}: base -> head")
+            for name, m in r["result"]["metrics"].items():
+                after = head["result"]["metrics"][name]["value"] if head else float("nan")
+                print(f"  {name:36s} {m['value']:12.6g} -> {after:12.6g} {m['unit']}")
 
 
 def main(argv=None) -> None:
@@ -137,6 +160,7 @@ def main(argv=None) -> None:
     p.add_argument("--base", required=True, help="checkout of the parent commit")
     p.add_argument("--head", default=str(ROOT), help="checkout of the change")
     p.add_argument("--seeds", default="11-20", help="inclusive range, e.g. 11-20")
+    p.add_argument("--trace", action="store_true", help="traced runs: per-layer metrics")
     p.add_argument("--out", required=True)
     p.set_defaults(func=run)
     p = sub.add_parser("write", help="BENCH files from the JSON lines")

@@ -1,23 +1,25 @@
 """Guidance-law trajectories, their diagnostics, and vortex circulation.
 
 The particle velocity is the phase gradient of the pilot wave divided by the
-mass.  Integration uses adaptive Runge-Kutta with a node guard: a step that
-would cross below the node amplitude threshold terminates the run and the
-partial trajectory is returned with the encounter recorded.
+mass.  Integration uses DOP853 (`pilotwave.integrate`) with a node guard: a
+step that would cross below the node amplitude threshold terminates the run
+and the partial trajectory is returned with the encounter recorded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from operator import mul
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
-from .classical import _dense_at, _integrate_events, _tangent_rhs
+from .classical import _dense_at, _tangent_rhs
 from .csvio import write_csv
-from .errors import DomainError, IntegrationError, NodeSingularityError, PilotwaveError
+from .errors import DomainError, NodeSingularityError, PilotwaveError
+from .integrate import solve_ivp
 from .quantum import (
     NODE_THRESHOLD_FACTOR,
     Superposition,
@@ -50,17 +52,14 @@ def _guidance(sup: Superposition, x, t):
     """(v, |psi|) at points x of shape (D,), (2, D) or (N, D), with no node guard.
 
     t is one time or one per point.  Box points are evaluated 1e-12 L inside
-    the walls: Runge-Kutta trial stages may poke just outside, and the exact
+    the walls: trial stages of a step may poke just outside, and the exact
     flow cannot leave the domain.
-    One point (shape (D,)) or two (shape (2, D)) go through one-point
-    `evaluate_wavefunction` calls and Python floats; more go through
-    batched calls of `CHUNK` points, each followed by `phase_gradient`.
+    One point (shape (D,)) or two (shape (2, D)) go through `_point_guidance`
+    in Python floats; more go through batched calls of `CHUNK` points, each
+    followed by `phase_gradient`.
     """
     system = sup.system
     x = np.asarray(x, dtype=float)
-    if system.kind == "box":
-        pad = 1e-12 * max(system.lengths)
-        x = np.minimum(np.maximum(x, pad), np.subtract(system.lengths, pad))  # np.clip is slow
     if x.ndim == 1 or x.ndim == 2 and x.shape[0] == 2:
         points = x.reshape(-1, system.dimension).tolist()
         times = [t] * len(points) if np.ndim(t) == 0 else np.broadcast_to(t, len(points)).tolist()
@@ -68,6 +67,9 @@ def _guidance(sup: Superposition, x, t):
         if x.ndim == 1:
             return np.array(rows[0][0]), rows[0][1]
         return np.array([v for v, _ in rows]), np.array([amp for _, amp in rows])
+    if system.kind == "box":
+        pad = 1e-12 * max(system.lengths)
+        x = np.minimum(np.maximum(x, pad), np.subtract(system.lengths, pad))  # np.clip is slow
     d, hbar, m = system.dimension, system.constants.hbar, system.constants.mass
 
     def chunk(xc, tc):
@@ -77,13 +79,24 @@ def _guidance(sup: Superposition, x, t):
     return _map_chunks(chunk, x, t, (np.empty(x.shape), np.empty(len(x))))
 
 
-def _point_guidance(sup: Superposition, p: list, t: float):
-    """(v as a list, |psi|) at one point: `phase_gradient` / m in Python floats.
+def _held_inside(system, p):
+    """D floats or D arrays p, box coordinates held 1e-12 L inside the walls as in `_guidance`."""
+    if system.kind != "box":
+        return p
+    pad = 1e-12 * max(system.lengths)
+    if isinstance(p[0], np.ndarray):
+        return [np.minimum(np.maximum(xi, pad), L - pad) for xi, L in zip(p, system.lengths)]
+    return [min(max(xi, pad), L - pad) for xi, L in zip(p, system.lengths)]
 
-    Calling `phase_gradient` on the one point instead makes a
-    `bohmian-pointwise` round 14% slower.
+
+def _point_guidance(sup: Superposition, p, t: float):
+    """(v as a list, |psi|) at one point p of D floats, box points held as in `_guidance`.
+
+    `phase_gradient` / m in Python floats: calling `phase_gradient` on the
+    one point instead makes a `bohmian-pointwise` round 14% slower.
     """
     system = sup.system
+    p = _held_inside(system, p)
     psi, grad, _ = evaluate_wavefunction(sup, p[0] if system.dimension == 1 else p, t)
     grad = [grad] if system.dimension == 1 else grad.tolist()
     hbar, m = system.constants.hbar, system.constants.mass
@@ -94,17 +107,24 @@ def _point_guidance(sup: Superposition, p: list, t: float):
     return [hbar * (psi.conjugate() * g).imag / rho2 / m for g in grad], amp
 
 
-def _guidance_jacobian(sup: Superposition, p: list, t: float):
-    """(v, dv/dx rows) at one point p in Python floats, box points held as in `_guidance`.
+def _guidance_rhs(sup: Superposition, t, y):
+    """dx/dt = v(x, t) in component style: y a list of D floats while stepping,
+    an array of shape (D, M) with one time per column in the dense rebuild."""
+    if isinstance(y, list):
+        return _point_guidance(sup, y, t)[0]
+    return _guidance(sup, y.T, t)[0].T
 
-    With a = grad psi / psi, v = (hbar/m) Im a and
-    dv_i/dx_j = (hbar/m) Im(H_ij / psi - a_i a_j), H the Hessian of psi.
+
+def _guidance_jacobian(sup: Superposition, p, t):
+    """(v, dv/dx rows) at one point or at M points, box points held as in `_guidance`.
+
+    p holds D floats or D arrays of M coordinates (t one time or one per
+    point), and so does each entry of the result.  With a = grad psi / psi,
+    v = (hbar/m) Im a and dv_i/dx_j = (hbar/m) Im(H_ij / psi - a_i a_j), H
+    the Hessian of psi.
     """
     system = sup.system
-    if system.kind == "box":
-        pad = 1e-12 * max(system.lengths)
-        p = [min(max(xi, pad), L - pad) for xi, L in zip(p, system.lengths)]
-    psi, grad, hess = _point_hessian(sup, p, t)
+    psi, grad, hess = _point_hessian(sup, _held_inside(system, p), t)
     q = system.constants.hbar / system.constants.mass
     inv = 1.0 / psi
     a = [g * inv for g in grad]
@@ -195,15 +215,9 @@ def _node_threshold(sup: Superposition) -> float:
     return NODE_THRESHOLD_FACTOR * amplitude_scale(sup)
 
 
-def integrate_bohmian(
-    sup: Superposition,
-    x0,
-    t_span,
-    tol: float = 1e-9,
-    max_step: float = np.inf,
-    method: str = "RK45",
-) -> BohmianTrajectory:
-    """Integrate dx/dt = v(x, t) from x0 over t_span.
+def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9,
+                      max_step: float = np.inf) -> BohmianTrajectory:
+    """Integrate dx/dt = v(x, t) from x0 over t_span with DOP853.
 
     Halts with a partial trajectory when the node guard band is entered.
     Every box wall is a node of every box state, so the guard also ends a
@@ -221,38 +235,25 @@ def integrate_bohmian(
     if amp0 <= threshold:
         raise NodeSingularityError(x0, t0, amp0, "x0 inside node guard band")
 
-    def rhs(t, y):
-        return _guidance(sup, y, t)[0]
-
     def node_event(t, y):
-        return _guidance(sup, y, t)[1] - threshold
+        return _point_guidance(sup, y, t)[1] - threshold
 
     node_event.terminal = True
-    node_encounters = []
-
-    def on_event(k, t, y):
-        amp = float(_guidance(sup, y, t)[1])
-        node_encounters.append({"t": float(t), "x": y.tolist(), "rho": amp})
-
     span = abs(t1 - t0)
-    times, positions, segments = _integrate_events(
-        solve_ivp, rhs, (t0, t1), x0, [node_event], on_event,
-        1, method, tol, min(max_step, span / 32) if span > 0 else max_step)
+    res = solve_ivp(partial(_guidance_rhs, sup), (t0, t1), x0, rtol=tol, atol=tol,
+                    dense_output=True, events=[node_event],
+                    max_step=min(max_step, span / 32) if span > 0 else max_step)
+    node_encounters = [{"t": float(t), "x": y.tolist(), "rho": float(_guidance(sup, y, t)[1])}
+                       for t, y in zip(res.t_events[0], res.y_events[0])]
+    times, positions = res.t, res.y.T
     rho, qv, grad_sigma, bad = _sampled_fields(sup, positions, times)
     velocities = grad_sigma / system.constants.mass
     velocities[bad], qv[bad], rho[bad] = np.nan, np.nan, 0.0  # exact node or overflow
     return BohmianTrajectory(
-        times=times,
-        positions=positions if d == 2 else positions[:, 0],
-        velocities=velocities if d == 2 else velocities[:, 0],
-        Q=qv,
-        rho=rho,
-        x0=x0,
-        superposition=sup,
-        node_encounters=node_encounters,
-        complete=not node_encounters,
-        _segments=segments,
-    )
+        times=times, positions=positions if d == 2 else positions[:, 0],
+        velocities=velocities if d == 2 else velocities[:, 0], Q=qv, rho=rho, x0=x0,
+        superposition=sup, node_encounters=node_encounters, complete=not node_encounters,
+        _segments=[(times[0], times[-1], res.sol)])
 
 
 def newtonian_residual(traj: BohmianTrajectory, sup: Superposition,
@@ -317,10 +318,11 @@ def bohmian_lyapunov(
 ) -> LyapunovEstimate:
     """Largest finite-time Lyapunov exponent of the guidance flow at x0.
 
-    One RK45 run carries the position, a unit tangent vector and its
+    One DOP853 run carries the position, a unit tangent vector and its
     accumulated log growth (`classical._tangent_rhs`), with the guidance
     Jacobian from the Hessian of psi (`_guidance_jacobian`).  A node halt
-    yields a partial estimate with the flag set.
+    yields a partial estimate with the flag set; its time comes from the
+    run's dense output, rebuilt with one column per time.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.size
@@ -330,17 +332,13 @@ def bohmian_lyapunov(
         v, jac = _guidance_jacobian(sup, x, t)
         return v, [sum(map(mul, row, u)) for row in jac]
 
-    tangent = _tangent_rhs(d, field)
-
     def node_event(t, z):
-        return _guidance(sup, z[:d], t)[1] - threshold
+        return _point_guidance(sup, z[:d], t)[1] - threshold
 
     node_event.terminal = True
     z0 = np.concatenate([x0, np.full(d, 1.0 / math.sqrt(d)), [0.0]])
-    res = solve_ivp(lambda t, z: tangent(t, z.tolist()), (t0, t0 + horizon), z0,
-                    method="RK45", rtol=tol, atol=tol, events=[node_event])
-    if res.status < 0:
-        raise IntegrationError(res.message)
+    res = solve_ivp(_tangent_rhs(d, field), (t0, t0 + horizon), z0, rtol=tol, atol=tol,
+                    events=[node_event])
     elapsed = float(res.t[-1]) - t0
     value = float(res.y[-1, -1]) / elapsed if elapsed > 0 else 0.0
     return LyapunovEstimate(value, elapsed, res.status == 1)

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from .bohmian import _guidance, _node_threshold, integrate_bohmian
 from .csvio import write_csv
 from .errors import DomainError, IntegrationError, PilotwaveError
-from .quantum import Superposition, _psi_batch, effective_domain
+from .quantum import Superposition, _psi_batch, _psi_grid, effective_domain
 
 __all__ = [
     "Ensemble",
@@ -109,8 +109,7 @@ def _per_member(positions: np.ndarray, sup: Superposition, t0: float, t1: float,
         try:
             traj = integrate_bohmian(sup, np.atleast_1d(positions[i]), (t0, t1), tol=tol)
             out[i] = traj.positions[-1]
-            for enc in traj.node_encounters:
-                reports.append({"member_id": i, **enc})
+            reports += [{"member_id": i, **enc} for enc in traj.node_encounters]
         except PilotwaveError as exc:
             out[i] = positions[i]
             reports.append({"member_id": i, "t": t0, "error": str(exc)})
@@ -171,27 +170,18 @@ def bin_probabilities(sup: Superposition, t: float, bins: int = 50,
     (bins, bins) in 2D.
     """
     lo, hi = effective_domain(sup)
-    d = sup.system.dimension
     nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-    if d == 1:
-        edges = np.linspace(lo[0], hi[0], bins + 1)
+    axes = []  # (half bin width, quadrature points) per axis
+    for l, h in zip(lo, hi):
+        edges = np.linspace(l, h, bins + 1)
         half = 0.5 * (edges[1] - edges[0])
-        centres = 0.5 * (edges[:-1] + edges[1:])
-        pts = (centres[:, None] + half * nodes[None, :]).ravel()
-        dens = _density_batch(sup, pts, t).reshape(bins, quad_order)
-        return half * dens @ weights
-    ex = np.linspace(lo[0], hi[0], bins + 1)
-    ey = np.linspace(lo[1], hi[1], bins + 1)
-    hx, hy = 0.5 * (ex[1] - ex[0]), 0.5 * (ey[1] - ey[0])
-    cx = 0.5 * (ex[:-1] + ex[1:])
-    cy = 0.5 * (ey[:-1] + ey[1:])
-    gx = (cx[:, None] + hx * nodes[None, :]).ravel()  # bins*q
-    gy = (cy[:, None] + hy * nodes[None, :]).ravel()
-    X, Y = np.meshgrid(gx, gy, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    dens = _density_batch(sup, pts, t).reshape(bins, quad_order, bins, quad_order)
-    w2 = np.einsum("i,j->ij", weights, weights)
-    return hx * hy * np.einsum("aibj,ij->ab", dens, w2)
+        axes.append((half, (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()))
+    if len(axes) == 1:
+        (half, pts), = axes
+        return half * _density_batch(sup, pts, t).reshape(bins, quad_order) @ weights
+    (hx, gx), (hy, gy) = axes
+    dens = (np.abs(_psi_grid(sup, gx, gy, t)) ** 2).reshape(bins, quad_order, bins, quad_order)
+    return hx * hy * np.einsum("aibj,ij->ab", dens, np.outer(weights, weights))
 
 
 def ensemble_histogram(ensemble: Ensemble, sup: Superposition, bins: int = 50) -> np.ndarray:

@@ -119,7 +119,8 @@ class _Compiled:
 
     def __init__(self):
         self.runs = []  # (rhs, solout) of the runs in progress, innermost last
-        self.solver = ode(self._rhs).set_integrator("dop853", nsteps=MAX_STEPS)
+        # beta: Hairer's stabilized step control, fewer steps than dop853's default 0
+        self.solver = ode(self._rhs).set_integrator("dop853", nsteps=MAX_STEPS, beta=0.04)
         self.solver.set_solout(self._solout)
 
     def _rhs(self, t, y):

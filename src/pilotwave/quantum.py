@@ -338,19 +338,20 @@ def _term_sum(sup: Superposition, point, t, lib):
     return psi, grad, lap
 
 
-def _point_hessian(sup: Superposition, point: list, t: float):
-    """(psi, gradient, Hessian rows) at one point in Python scalars.
+def _point_hessian(sup: Superposition, point, t):
+    """(psi, gradient, Hessian rows) at one point of D floats, or at M points of D arrays.
 
     It reads `_term_sum`'s ladders but stays apart from `_term_sum`, which
     serves every wavefield call and need not pay for the Hessian.
     """
+    lib = _ARRAY if isinstance(point[0], np.ndarray) else _SCALAR
     axes, terms = sup._plan
-    tables = [ladder(constants, xi, _SCALAR) for (ladder, constants), xi in zip(axes, point)]
+    tables = [ladder(constants, xi, lib) for (ladder, constants), xi in zip(axes, point)]
     hbar, d = sup.system.constants.hbar, len(point)
     total = [0.0] * (1 + d + d * d)  # psi, the gradient, then the Hessian row by row
     for c, energy, n in terms:
         if not tables:  # free: plane wave exp(i k . x)
-            v = cmath.exp(1j * sum(ki * xi for ki, xi in zip(n, point)))
+            v = lib.cexp(1j * sum(ki * xi for ki, xi in zip(n, point)))
             parts = [v, *[1j * ki * v for ki in n], *[-ki * kj * v for ki in n for kj in n]]
         elif len(tables) == 1:
             parts = tables[0][n[0]]
@@ -358,7 +359,7 @@ def _point_hessian(sup: Superposition, point: list, t: float):
             (vx, gx, lx), (vy, gy, ly) = tables[0][n[0]], tables[1][n[1]]
             gxy = gx * gy
             parts = [vx * vy, gx * vy, vx * gy, lx * vy, gxy, gxy, vx * ly]
-        w = c * cmath.exp(-1j * (energy * t / hbar))
+        w = c * lib.cexp(-1j * (energy * t / hbar))
         total = [b + w * a for b, a in zip(total, parts)]
     return total[0], total[1:d + 1], [total[d + 1 + d * i:d + 1 + d * (i + 1)] for i in range(d)]
 
@@ -387,6 +388,19 @@ def _psi_batch(sup: Superposition, pts, t):
     """psi at points pts (one per row), `CHUNK` points per evaluation."""
     return _map_chunks(lambda xc, tc: evaluate_wavefunction(sup, xc, tc)[:1], pts, t,
                        (np.empty(len(pts), dtype=complex),))[0]
+
+
+def _psi_grid(sup: Superposition, x, y, t: float):
+    """psi of a 2D box or oscillator state on the tensor grid x by y, shape (len(x), len(y)).
+
+    Term k is w_k phi_a(x) phi_b(y), so psi = A^T diag(w) B from the per-axis
+    ladder tables: work in terms x (len(x) + len(y)), not terms x len(x) len(y).
+    """
+    ((ladder_x, cx), (ladder_y, cy)), terms = sup._plan
+    tx, ty, hbar = ladder_x(cx, x, _ARRAY), ladder_y(cy, y, _ARRAY), sup.system.constants.hbar
+    w = np.array([c * cmath.exp(-1j * (energy * t / hbar)) for c, energy, _ in terms])
+    a, b = (np.array([table[n[i]][0] for _, _, n in terms]) for i, table in enumerate((tx, ty)))
+    return a.T @ (w[:, None] * b)
 
 
 @dataclass(frozen=True)
@@ -523,11 +537,7 @@ def norm_quadrature(sup: Superposition, t: float = 0.0, order: int = 400) -> flo
         psi, _, _ = evaluate_wavefunction(sup, x, t)
         return float(np.sum(w * np.abs(psi) ** 2))
     (x, wx), (y, wy) = axes
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    psi = _psi_batch(sup, pts, t)
-    w2 = np.outer(wx, wy).ravel()
-    return float(np.sum(w2 * np.abs(psi) ** 2))
+    return float(np.sum(np.outer(wx, wy) * np.abs(_psi_grid(sup, x, y, t)) ** 2))
 
 
 def _refine_node_1d(sup, t, a, b, beta):

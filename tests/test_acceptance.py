@@ -130,8 +130,7 @@ def test_criterion_05_equivariance(two_mode_box):
 
 def test_criterion_06_guidance_newton_consistency(two_mode_box_complex):
     t0 = time.perf_counter()
-    traj = bm.integrate_bohmian(two_mode_box_complex, [0.37], (0.0, 0.8),
-                                tol=1e-12, method="DOP853")
+    traj = bm.integrate_bohmian(two_mode_box_complex, [0.37], (0.0, 0.8), tol=1e-12)
     residual = bm.newtonian_residual(traj, two_mode_box_complex, n_samples=4001)
     ok = residual < 1e-4
     _report(6, "guidance vs Newton", ok, f"max residual {residual:.2e}", t0)

@@ -75,6 +75,19 @@ def test_per_member_matches_vectorized(two_mode_box):
     assert np.max(np.abs(a - b)) < 1e-6
 
 
+@pytest.mark.parametrize("seed", [101, 404])
+def test_members_at_loose_tol_match_tight_run(chaotic_aniso_state, seed):
+    """16 criterion-8 members, each in its own DOP853 run, at tol 1e-6 against 1e-12.
+
+    Measured 4.8e-12 (seed 101) and 4.3e-7 (seed 404).
+    """
+    ens = en.sample_quantum_equilibrium(chaotic_aniso_state, 0.0, 16, seed=seed)
+    loose, tight = (en.evolve_ensemble(ens, chaotic_aniso_state, 1.0, tol=tol)
+                    for tol in (1e-6, 1e-12))
+    assert not loose.node_reports and not tight.node_reports
+    assert np.max(np.abs(loose.ensemble.positions - tight.ensemble.positions)) < 3e-5
+
+
 def test_member_order_preserved(two_mode_box):
     ens = en.sample_quantum_equilibrium(two_mode_box, 0.0, 64, seed=8)
     evo = en.evolve_ensemble(ens, two_mode_box, 0.05, tol=1e-9)  # per-member below 257

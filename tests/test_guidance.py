@@ -339,3 +339,69 @@ def test_guidance_jacobian_matches_central_differences(case):
         coarse, fine = (_central_jacobian(sup, x[i], t[i], step) for step in (h, h / 2))
         bound = np.abs(coarse - fine) + 8.0 * v_tol / h + 1e-9 * c.hbar / c.mass * g * g / a**2
         assert np.all(np.abs(np.array(jac) - fine) <= bound)
+
+
+def _hessian_size(sup, x, t):
+    """sum_n |c_n| max_ij |d_i d_j f_n(x)|, or for box states that bound over the box.
+
+    A box mode's second derivatives are at most sqrt(2/L)^D k_i k_j, which
+    the laplacian size of `_point_sizes` bounds; near a wall they are known
+    only to a few ulps of that, as the values are.
+    """
+    if sup.system.kind == "box":
+        return _point_sizes(sup, x)[2]
+    point = np.atleast_1d(x).tolist()
+    size = 0.0
+    for c, state in sup.terms:
+        _, _, hess = qm._point_hessian(qm.Superposition(sup.system, ((1.0, state),)), point, t)
+        size += abs(c) * max(abs(h) for row in hess for h in row)
+    return size
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=wavefields(wall=(1e-9, 1e-12)))
+def test_guidance_jacobian_on_arrays_matches_one_point_calls(case):
+    """`_guidance_jacobian` on a (D, M) array, as the dense rebuild of a tangent run
+    passes it, against M one-point calls in Python floats.
+
+    Box coordinates up to 1e-9 outside a wall are held inside alike.  The
+    bounds are 1e-12 of the term sizes carried through v and through
+    dv/dx = (hbar/m) Im(H / psi - a a), a = grad psi / psi.
+    """
+    sup, x, t = case
+    c = sup.system.constants
+    v_all, jac_all = bm._guidance_jacobian(sup, x.T, t)
+    d = x.shape[1]
+    assert len(v_all) == len(jac_all) == d and all(len(row) == d for row in jac_all)
+    for i in range(t.size):
+        v, jac = bm._guidance_jacobian(sup, x[i].tolist(), float(t[i]))
+        inside = _point(sup, _inside(sup, x[i]))
+        rho = abs(qm.evaluate_wavefunction(sup, inside, t[i])[0])
+        a, g, _ = _point_sizes(sup, inside)
+        h = _hessian_size(sup, inside, t[i])
+        _, v_tol, _ = _field_tolerances(sup, inside, rho, _point_sizes)
+        jac_tol = _floored(4e-12 * c.hbar / c.mass * (h * a / rho**2 + g * g * a / rho**3))
+        assert max(abs(v_all[k][i] - v[k]) for k in range(d)) <= v_tol
+        assert max(abs(jac_all[k][j][i] - jac[k][j]) for k in range(d) for j in range(d)) <= jac_tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=wavefields(wall=(1e-9, 1e-12), n_points=(3, 8)))
+def test_component_rhs_float_path_matches_batched_columns(case):
+    """The guidance right-hand side of a run: a list of floats while stepping,
+    a (D, M) array with one time per column in the dense rebuild.
+
+    The columns are the batched `_guidance` rows; each float-path call
+    agrees with its column within 1e-12 of the term sizes.
+    """
+    sup, x, t = case
+    d = x.shape[1]
+    v_all, amp_all = bm._guidance(sup, x, t)
+    columns = bm._guidance_rhs(sup, t, x.T)
+    np.testing.assert_array_equal(columns, v_all.T)
+    for i in range(t.size):
+        v = bm._guidance_rhs(sup, float(t[i]), x[i].tolist())
+        assert isinstance(v, list) and len(v) == d
+        _, v_tol, _ = _field_tolerances(sup, _point(sup, _inside(sup, x[i])), amp_all[i],
+                                        _point_sizes)
+        assert max(abs(v[k] - v_all[i, k]) for k in range(d)) <= v_tol
