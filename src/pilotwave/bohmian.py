@@ -16,10 +16,10 @@ from operator import mul
 import numpy as np
 from scipy.integrate import quad
 
-from .classical import _dense_at, _tangent_rhs
+from .classical import _tangent_rhs
 from .csvio import write_csv
 from .errors import DomainError, NodeSingularityError, PilotwaveError
-from .integrate import solve_ivp
+from .integrate import DenseOutput, solve_ivp
 from .quantum import (
     NODE_THRESHOLD_FACTOR,
     Superposition,
@@ -191,16 +191,16 @@ class BohmianTrajectory:
     superposition: Superposition
     node_encounters: list = field(default_factory=list)
     complete: bool = True
-    _segments: list = field(default_factory=list, repr=False)
+    _dense: DenseOutput | None = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
         return self.superposition.system.dimension
 
     def at(self, t) -> np.ndarray:
-        """Dense-output evaluation of the position at arbitrary times."""
-        out = _dense_at(self._segments, t)
-        return out if self.dimension == 2 else out[:, 0]
+        """Positions at times t from the run's dense output (DomainError over 1e-12 outside)."""
+        out = self._dense(np.atleast_1d(t))
+        return out.T if self.dimension == 2 else out[0]
 
     def to_csv(self, path) -> None:
         d = self.dimension
@@ -253,7 +253,7 @@ def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9,
         times=times, positions=positions if d == 2 else positions[:, 0],
         velocities=velocities if d == 2 else velocities[:, 0], Q=qv, rho=rho, x0=x0,
         superposition=sup, node_encounters=node_encounters, complete=not node_encounters,
-        _segments=[(times[0], times[-1], res.sol)])
+        _dense=res.sol)
 
 
 def newtonian_residual(traj: BohmianTrajectory, sup: Superposition,

@@ -23,8 +23,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .csvio import write_csv
-from .errors import DomainError, IntegrationError
-from .integrate import solve_ivp
+from .errors import DomainError
+from .integrate import DenseOutput, solve_ivp
 from .systems import DiamagneticSystem, PhaseState, SolvableSystem
 
 __all__ = [
@@ -129,34 +129,6 @@ def physical_to_regularized(rho: float, z: float, p_rho: float, p_z: float) -> n
     return np.array([mu, nu, p_mu, p_nu])
 
 
-def _dense_at(segments, t) -> np.ndarray:
-    """Evaluate dense-output segments (t_start, t_end, sol) at times t, shape (n, dim).
-
-    Segments run contiguously in one time direction.  A query within 1e-12
-    of a segment belongs to it; at a shared endpoint the earlier segment
-    wins, and each segment is evaluated once for all of its queries.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    starts = np.array([seg[0] for seg in segments])
-    ends = np.array([seg[1] for seg in segments])
-    # in s*t the segments run forward, so the first whose end reaches a query holds it
-    s = 1.0 if ends[-1] >= starts[0] else -1.0
-    k = np.searchsorted(s * ends + 1e-12, s * t)
-    outside = (k == len(segments)) | (s * t < s * starts[np.minimum(k, len(segments) - 1)] - 1e-12)
-    if np.any(outside):
-        raise DomainError(f"time {t[outside][0]} outside trajectory range")
-    if t.size == 0:  # no query to take the width from
-        return np.empty((0, np.size(segments[0][2](starts[0]))))
-    out = None
-    for j in np.unique(k):
-        sel = k == j
-        v = segments[j][2](t[sel])
-        if out is None:
-            out = np.empty((t.size, v.shape[0]))
-        out[sel] = v.T
-    return out
-
-
 def launch_from_nucleus(theta: float) -> PhaseState:
     """On-shell launch at the nucleus with regularized momentum angle theta.
 
@@ -168,7 +140,7 @@ def launch_from_nucleus(theta: float) -> PhaseState:
 
 @dataclass
 class Trajectory:
-    """Sampled classical trajectory with dense interpolation segments.
+    """Sampled classical trajectory with the dense output of its one run.
 
     For the diamagnetic system `times` is the rescaled integration time,
     `physical_time` the accumulated scaled physical time and `action` the
@@ -183,14 +155,15 @@ class Trajectory:
     invariant: np.ndarray
     physical_time: np.ndarray | None = None
     action: np.ndarray | None = None
-    _segments: list = field(default_factory=list, repr=False)
+    _dense: DenseOutput | None = field(default=None, repr=False)
 
     @property
     def drift(self) -> float:
         return float(np.max(np.abs(self.invariant - self.invariant[0])))
 
     def at(self, t) -> np.ndarray:
-        return _dense_at(self._segments, t)
+        """States at times t, shape (n, dim); DomainError more than 1e-12 outside the run."""
+        return _fold(self.system, self._dense(np.atleast_1d(t)).T)
 
     def physical_coords(self) -> np.ndarray:
         """Diamagnetic only: (rho, z, p_rho, p_z) samples."""
@@ -258,9 +231,10 @@ def integrate_classical(system, initial: PhaseState, duration: float,
 
     Diamagnetic systems integrate the regularized flow (duration is rescaled
     time) and must start on the pseudo-energy shell h = 2 within shell_tol.
-    Solvable systems integrate Hamilton's equations in physical time; box
-    systems reflect at the walls.  The conserved quantity is sampled along
-    the run so the caller can bound its drift.
+    Solvable systems integrate Hamilton's equations in physical time; a box
+    system integrates its free flight once, and `_fold` folds it into the
+    box, which reflects at the walls exactly.  The conserved quantity is
+    sampled along the run so the caller can bound its drift.
     """
     if isinstance(system, DiamagneticSystem):
         y0 = initial.as_array()
@@ -271,11 +245,17 @@ def integrate_classical(system, initial: PhaseState, duration: float,
         states = res.y[:4].T
         inv = regularized_hamiltonian(states, system.epsilon)
         return Trajectory(system, res.t, states, inv,
-                          physical_time=res.y[4], action=res.y[5],
-                          _segments=[(res.t[0], res.t[-1], res.sol)])
+                          physical_time=res.y[4], action=res.y[5], _dense=res.sol)
     if not isinstance(system, SolvableSystem):
         raise DomainError(f"cannot integrate system of type {type(system)!r}")
-    return _integrate_solvable(system, initial, duration, tol, max_step)
+    res = solve_ivp(_solvable_rhs(system), (initial.t, initial.t + duration), initial.as_array(),
+                    rtol=tol, atol=tol, dense_output=True, max_step=max_step)
+    times, states = res.t, res.y.T
+    if system.kind == "box":  # a sample at each wall hit: straight lines between samples
+        times = np.union1d(times, _wall_hits(system, initial.t, initial.q, initial.p, duration))
+        times = times[::-1] if duration < 0 else times
+        states = _fold(system, res.sol(times).T)
+    return Trajectory(system, times, states, _solvable_energy(system, states), _dense=res.sol)
 
 
 def _stiffness(system):
@@ -307,69 +287,31 @@ def _solvable_energy(system, y):
     return kin + system.potential(q if d == 2 else q[..., 0])
 
 
-def _wall_events(system):
-    """Terminal (axis, wall, event) triples of a box system, each event positive inside."""
-    if system.kind != "box":
-        return []
-    walls = []
-    for i in range(system.dimension):
-        for wall, sign in ((0.0, 1.0), (system.lengths[i], -1.0)):
-            def wev(t, y, i=i, wall=wall, sign=sign):
-                return sign * (y[i] - wall)
-            wev.terminal = True
-            walls.append((i, wall, wev))
-    return walls
+def _fold(system, y):
+    """States y of shape (n, width) as they are, except box states: folded into the box.
 
-
-def _integrate_events(solve, rhs, t_span, y0, events, on_event, limit, method, tol, max_step):
-    """Integrate with the caller's solve_ivp and dense output from event to event.
-
-    When event k fires at (t, y), on_event(k, t, y) returns the state to
-    restart from, or None to stop.  Returns (times, states, segments), each
-    restart sample listed once.  Solver failure or `limit` restarts raise
-    IntegrationError carrying the samples so far.
+    A box system integrates free flight.  Elastic walls are the method of
+    images: each axis folds into [0, L], and on odd images the momentum flips.
     """
-    ts, ys, segments = [], [], []
-    t_cur, y_cur = t_span[0], y0
-    for _ in range(limit):
-        res = solve(rhs, (t_cur, t_span[1]), y_cur, method=method, rtol=tol, atol=tol,
-                    dense_output=True, events=events, max_step=max_step)
-        if res.t.size:
-            segments.append((res.t[0], res.t[-1], res.sol))
-            start = 1 if ts else 0
-            ts.extend(res.t[start:])
-            ys.extend(res.y.T[start:])
-        if res.status < 0:
-            raise IntegrationError(res.message, partial=(np.array(ts), np.array(ys)))
-        if res.status != 1:
-            break
-        k = [j for j, te in enumerate(res.t_events) if te.size][0]
-        t_cur = res.t_events[k][0]
-        y_cur = on_event(k, t_cur, res.y_events[k][0].copy())
-        if y_cur is None:
-            break
-    else:
-        raise IntegrationError(f"event restart limit exceeded ({limit} restarts)",
-                               partial=(np.array(ts), np.array(ys)))
-    return np.array(ts), np.array(ys), segments
-
-
-def _integrate_solvable(system, initial, duration, tol, max_step):
-    d = system.dimension
-    walls = _wall_events(system)
-
-    def bounce(k, t, y):
-        i = walls[k][0]
-        y[d + i] = -y[d + i]  # elastic wall bounce
-        # nudge off the wall so the event does not refire
-        y[i] = min(max(y[i], 1e-14), system.lengths[i] - 1e-14)
+    if not isinstance(system, SolvableSystem) or system.kind != "box":
         return y
+    d = system.dimension
+    lengths = np.asarray(system.lengths)
+    image = np.floor(y[:, :d] / lengths)
+    odd = image % 2.0 == 1.0
+    # y / L can round up to k while y < k L: the offset would be ulps below 0
+    offset = np.clip(y[:, :d] - image * lengths, 0.0, lengths)
+    return np.concatenate([np.where(odd, lengths - offset, offset),
+                           np.where(odd, -y[:, d:], y[:, d:])], axis=1)
 
-    times, states, segments = _integrate_events(
-        solve_ivp, _solvable_rhs(system), (initial.t, initial.t + duration), initial.as_array(),
-        [e for _, _, e in walls] or None, bounce, 100000, "DOP853", tol, max_step)
-    inv = _solvable_energy(system, states)
-    return Trajectory(system, times, states, inv, _segments=segments)
+
+def _wall_hits(system, t0, q0, p0, duration):
+    """Times t0 + (k L - q) / v in the run at which free flight from (q0, p0) meets a wall."""
+    hits = []
+    for q, v, length in zip(q0, np.divide(p0, system.constants.mass), system.lengths):
+        lo, hi = sorted((q / length, (q + v * duration) / length))
+        hits += [t0 + (k * length - q) / v for k in range(math.floor(lo) + 1, math.ceil(hi))]
+    return np.clip(hits, *sorted((t0, t0 + duration)))
 
 
 def physical_hamiltonian(q, p, field_strength: float):
@@ -395,11 +337,10 @@ def integrate_diamagnetic_physical(system: DiamagneticSystem, initial: PhaseStat
         r3 = (rho * rho + z * z) ** 1.5
         return (prho, pz, -rho / r3 - b * b * rho / 4.0, -z / r3)
 
-    times, states, segments = _integrate_events(
-        solve_ivp, rhs, (initial.t, initial.t + duration), initial.as_array(), None, None, 1,
-        "DOP853", tol, np.inf)
-    inv = physical_hamiltonian(states[:, :2], states[:, 2:], b)
-    return Trajectory(system, times, states, inv, _segments=segments)
+    res = solve_ivp(rhs, (initial.t, initial.t + duration), initial.as_array(), rtol=tol,
+                    atol=tol, dense_output=True)
+    inv = physical_hamiltonian(res.y[:2].T, res.y[2:].T, b)
+    return Trajectory(system, res.t, res.y.T, inv, _dense=res.sol)
 
 
 def scaling_map(q, p, t, field_strength: float):

@@ -34,6 +34,7 @@ __all__ = ["DenseOutput", "OdeResult", "solve_ivp"]
 # attempted steps per run; a run needing more is not one for an explicit method
 MAX_STEPS = 1_000_000
 _ROOT_TOL = 4.0 * np.finfo(float).eps  # scipy's event-root tolerance
+_SLACK = 1e-12  # how far outside its run a dense output still answers
 _MESSAGES = {-1: "input is not consistent", -2: "larger nsteps is needed",
              -3: "step size becomes too small", -4: "problem is probably stiff"}
 
@@ -42,8 +43,10 @@ class DenseOutput:
     """DOP853's 7th-order interpolant over recorded steps, built on first use.
 
     `t` holds the M + 1 recorded step times (monotone, either direction) and
-    `y` the states, shape (D, M + 1).  A query at a recorded time returns that
-    state exactly; queries outside the steps extrapolate the nearest step.
+    `y` the states, shape (D, M + 1).  The run spans t[0] to `end`: t[-1],
+    or the root of a terminal event inside the last step.  A query at a
+    recorded time returns that state exactly.  A query more than 1e-12
+    outside the run raises DomainError; nothing is extrapolated further.
     `nfev` counts the right-hand-side columns the rebuild evaluated: 15 per
     step and one more.
     """
@@ -52,6 +55,7 @@ class DenseOutput:
         self.fun = fun
         self.t = np.asarray(t, dtype=float)
         self.y = np.asarray(y, dtype=float)
+        self.end = float(self.t[-1])
         self.nfev = 0
         self._sign = 1.0 if self.t[-1] >= self.t[0] else -1.0
         self._key = self._sign * self.t
@@ -90,13 +94,17 @@ class DenseOutput:
         tq = np.asarray(t, dtype=float)
         scalar = tq.ndim == 0
         tq = np.atleast_1d(tq)
+        key = self._sign * tq
+        outside = tq[(key < self._key[0] - _SLACK) | (key > self._sign * self.end + _SLACK)]
+        if outside.size:
+            raise DomainError(f"time {outside[0]} outside trajectory range")
         m = self.t.size - 1
         if m == 0:
             out = np.repeat(self.y, tq.size, axis=1)
         else:
             if self._coeffs is None:
                 self._rebuild()
-            j = np.clip(np.searchsorted(self._key, self._sign * tq, side="right") - 1, 0, m - 1)
+            j = np.clip(np.searchsorted(self._key, key, side="right") - 1, 0, m - 1)
             x = (tq - self.t[j]) / (self.t[j + 1] - self.t[j])
             x1 = 1.0 - x
             out = np.zeros((self.y.shape[0], tq.size))
@@ -173,6 +181,15 @@ def _crossed(g_old, g_new, direction) -> bool:
     return up if direction > 0 else down if direction < 0 else up or down
 
 
+def _flushed(fun, rtol, atol):
+    """fun with each component below 1e-100 of its error scale, too small to move y, at 0."""
+    def flushed(t, y):
+        return [0.0 if abs(f) < 1e-100 * (atol + rtol * abs(v)) else f
+                for f, v in zip(fun(t, y), y)]
+
+    return flushed
+
+
 def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, t_eval=None,
               dense_output=False, events=None, max_step=np.inf) -> OdeResult:
     """Integrate dy/dt = fun(t, y) over t_span with DOP853; scipy's semantics.
@@ -183,7 +200,10 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, t_eval=None,
     times, up to where the run ended; otherwise it holds every accepted step.
     A run the stepper ends early (too many steps, a step too small, a problem
     that looks stiff) raises IntegrationError carrying the steps so far; so
-    does, re-raised, an exception from `fun` or an event.
+    does, re-raised, an exception from `fun` or an event.  A step too small
+    is met by one more run if, at the last accepted state, some derivative
+    component is nonzero but below 1e-100 of its error scale atol + rtol |y|:
+    that run sees every such component as 0, and `nfev` counts it alone.
     """
     if method != "DOP853":
         raise DomainError(f"solve_ivp integrates with DOP853 only, not {method!r}")
@@ -199,7 +219,7 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, t_eval=None,
         nonlocal calls
         calls += 1
         try:
-            return fun(t, y.tolist())
+            return step(t, y.tolist())
         except Exception as exc:  # the compiled stepper cannot carry it: re-raised below
             errors.append(exc)
             return [math.nan] * y.size
@@ -228,7 +248,17 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, t_eval=None,
     else:
         if not hasattr(_LOCAL, "compiled"):
             _LOCAL.compiled = _Compiled()
-        code, t_stop = _LOCAL.compiled.run(rhs, solout, y0, t0, t1, rtol, atol, max_step)
+        # dopri853 rejects every step ("step size becomes too small") when its
+        # error norm, a sum of squares, is subnormal but not 0: derivatives near
+        # 1e-150 of their error scale make one.  The run is made again without them.
+        flushed = _flushed(fun, rtol, atol)
+        for step in (fun, flushed):  # what `rhs` calls
+            for kept in (ts, ys, hits, g):
+                kept.clear()
+            calls = 0
+            code, t_stop = _LOCAL.compiled.run(rhs, solout, y0, t0, t1, rtol, atol, max_step)
+            if code != -3 or errors or flushed(ts[-1], ys[-1]) == list(fun(ts[-1], ys[-1])):
+                break  # a step too small with nothing to flush where it stopped is final
         if errors:
             raise errors[0]
         if code < 0:
@@ -256,6 +286,7 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, t_eval=None,
         t_events = [np.array(te) for te in t_events]
         y_events = [np.array(ye).reshape(-1, y0.size) for ye in y_events]
     if status:
+        dense.end = found[-1][0]
         times = np.append(times[:-1], found[-1][0])
         states = np.column_stack([states[:, :-1], y_events[found[-1][1]][-1]])
     if t_eval is not None:

@@ -289,40 +289,32 @@ def solvable_orbit(system: SolvableSystem, energy: float, tol: float = 1e-11) ->
     """Periodic orbit of a 1D solvable system at the given energy.
 
     Harmonic: one libration period starting at the right turning point.
-    Box: one wall-to-wall round trip.  Both reuse the ClosedOrbit container
-    (launch angle 0, physical time = rescaled time).
+    Box: one wall-to-wall round trip from the left wall.  Both reuse the
+    ClosedOrbit container (launch angle 0, physical time = rescaled time).
     """
     if system.dimension != 1:
         raise DomainError("solvable_orbit covers 1D systems")
+    if system.kind not in ("harmonic", "box"):
+        raise DomainError("free particle has no periodic orbit")
+    if energy <= 0:
+        raise DomainError(f"{system.kind} orbit needs positive energy")
     m = system.constants.mass
     if system.kind == "harmonic":
         w = system.omegas[0]
-        if energy <= 0:
-            raise DomainError("harmonic orbit needs positive energy")
-        amp = math.sqrt(2.0 * energy / (m * w * w))
+        start = PhaseState((math.sqrt(2.0 * energy / (m * w * w)),), (0.0,))
         period = 2.0 * math.pi / w
-        traj = integrate_classical(system, PhaseState((amp,), (0.0,)), period, tol=tol)
-        tt = np.linspace(0.0, period, 2001)
-        samples = traj.at(tt)
-        path = np.stack([samples[:, 0], np.zeros_like(tt), samples[:, 1],
-                         np.zeros_like(tt)], axis=-1)
-        integrand = samples[:, 1] ** 2 / m
-        action = _simpson(integrand, tt)
-        # variational flow of the oscillator over a full period is the identity
-        return ClosedOrbit(0.0, period, period, action, 2.0, 2, 0.0, tt, path, system)
-    if system.kind == "box":
-        L = system.lengths[0]
-        if energy <= 0:
-            raise DomainError("box orbit needs positive energy")
+    else:
         p = math.sqrt(2.0 * m * energy)
-        period = 2.0 * L * m / p
-        tt = np.linspace(0.0, period, 2001)
-        x = np.where(tt <= period / 2.0, p * tt / m, 2.0 * L - p * tt / m)
-        pp = np.where(tt <= period / 2.0, p, -p)
-        path = np.stack([x, np.zeros_like(tt), pp, np.zeros_like(tt)], axis=-1)
-        action = 2.0 * p * L
-        return ClosedOrbit(0.0, period, period, action, 2.0, 2, 0.0, tt, path, system)
-    raise DomainError("free particle has no periodic orbit")
+        start = PhaseState((0.0,), (p,))
+        period = 2.0 * system.lengths[0] * m / p
+    traj = integrate_classical(system, start, period, tol=tol)
+    tt = np.linspace(0.0, period, 2001)
+    samples = traj.at(tt)
+    path = np.stack([samples[:, 0], np.zeros_like(tt), samples[:, 1],
+                     np.zeros_like(tt)], axis=-1)
+    action = _simpson(samples[:, 1] ** 2 / m, tt)
+    # variational flow over a full period is the identity
+    return ClosedOrbit(0.0, period, period, action, 2.0, 2, 0.0, tt, path, system)
 
 
 def orbits_to_json(orbits, path=None):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .classical import _stiffness
 from .errors import DomainError, TurningPointError
@@ -91,90 +90,43 @@ def _shoot(system: SolvableSystem, x1: float, p0: float, dt: float, tol: float):
                      dense_output=True)
 
 
-def _scan_endpoints(system: SolvableSystem, x1: float, p0_grid: np.ndarray,
-                    dt: float, n_steps: int = 256) -> np.ndarray:
-    """x(dt) for a batch of launch momenta; fixed-step RK4, bracketing accuracy."""
-    m = system.constants.mass
-    k = _stiffness(system)[0]
-    h = dt / n_steps
-    x = np.full_like(p0_grid, x1, dtype=float)
-    p = p0_grid.astype(float).copy()
-
-    def f(x, p):
-        return p / m, -(k * x)
-
-    for _ in range(n_steps):
-        k1x, k1p = f(x, p)
-        k2x, k2p = f(x + 0.5 * h * k1x, p + 0.5 * h * k1p)
-        k3x, k3p = f(x + 0.5 * h * k2x, p + 0.5 * h * k2p)
-        k4x, k4p = f(x + h * k3x, p + h * k3p)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return x
-
-
 def van_vleck_1d(system: SolvableSystem, x1: float, x2: float, dt: float,
-                 p_max: float | None = None, n_scan: int = 241,
                  tol: float = 1e-13) -> PropagatorValue:
-    """Semiclassical time propagator K(x2, x1; dt) for a smooth 1D system.
+    """Semiclassical time propagator K(x2, x1; dt) for the free particle or the oscillator.
 
-    Classical paths are found by shooting over the initial momentum on a
-    scan grid with root refinement.  Each path contributes
-    (2 pi i hbar)^(-1/2) |dx2/dp0|^(-1/2) exp(i R/hbar - i phi) with phi =
-    pi/2 per conjugate point.  No classical path yields the flagged zero
-    result rather than an error.
+    Their flows are linear, so x(dt) is affine in the launch momentum p0 with
+    slope J(dt), the Jacobi field dx/dp0, and exactly one classical path joins
+    x1 to x2.  One shot at p0 = 0 gives its momentum, p0 = (x2 - x(dt)) / J(dt);
+    a second shot integrates it.  The path contributes
+    (2 pi i hbar)^(-1/2) |J(dt)|^(-1/2) exp(i R/hbar - i phi) with phi = pi/2
+    per conjugate point.  At a caustic, J(dt) = 0, TurningPointError is raised.
     """
     if dt <= 0:
         raise DomainError("propagation time must be positive")
     if system.dimension != 1 or system.kind == "box":
         raise DomainError("van_vleck_1d covers smooth 1D systems")
-    hbar, m = system.constants.hbar, system.constants.mass
+    hbar = system.constants.hbar
 
-    if p_max is None:
-        # an oscillator path needs p0 = m w |x2 - x1 cos wt| / |sin wt|, which
-        # grows without bound toward a caustic: its travel time is |sin wt|/w
-        travel = dt
-        if system.kind == "harmonic":
-            travel = abs(math.sin(system.omegas[0] * dt)) / system.omegas[0]
-        kinematic = m * (abs(x1) + abs(x2) + abs(x2 - x1) + 1.0) / travel
-        v_scale = max(float(system.potential(np.asarray(x1))),
-                      float(system.potential(np.asarray(x2))), 1.0)
-        p_max = 10.0 * (kinematic + math.sqrt(2.0 * m * v_scale))
-
-    def endpoint(p0):
-        res = _shoot(system, x1, p0, dt, tol=1e-11)
-        return res.y[0, -1] - x2
-
-    # cheap vectorized sweep for brackets; refinement reuses the adaptive solver
-    grid = np.linspace(-p_max, p_max, n_scan)
-    vals = _scan_endpoints(system, x1, grid, dt) - x2
-    roots = []
-    for k in range(n_scan - 1):
-        if vals[k] == 0.0:
-            roots.append(grid[k])
-        elif vals[k] * vals[k + 1] < 0:
-            roots.append(brentq(endpoint, grid[k], grid[k + 1], xtol=1e-13, rtol=8.9e-16))
-
-    paths = []
-    total = 0.0 + 0.0j
+    caustic = "endpoint is conjugate to x1 (caustic)"
+    aim = _shoot(system, x1, 0.0, dt, tol=tol)
+    if aim.y[2, -1] == 0.0:
+        raise TurningPointError(caustic)
+    res = _shoot(system, x1, (x2 - aim.y[0, -1]) / aim.y[2, -1], dt, tol=tol)
+    jt = res.y[2, -1]
+    if jt == 0.0:
+        raise TurningPointError(caustic)
+    # conjugate points: interior zeros of the Jacobi field
+    ts = np.linspace(0.0, dt, 400)
+    jj = res.sol(ts)[2]
+    interior = jj[1:-1]
+    signs = np.sign(interior[np.abs(interior) > 1e-14])
+    n_conj = int(np.sum(signs[:-1] * signs[1:] < 0))
+    # the shot ends a little off x2: R(x2) = R(x_end) + p2 (x2 - x_end)
+    action = float(res.y[4, -1] - res.y[1, -1] * (res.y[0, -1] - x2))
+    amp = abs(1.0 / jt) ** 0.5
     prefactor = 1.0 / cmath.sqrt(2.0j * math.pi * hbar)
-    for p0 in roots:
-        res = _shoot(system, x1, p0, dt, tol=tol)
-        jt = res.y[2, -1]
-        if jt == 0.0:
-            raise TurningPointError("endpoint is conjugate to x1 (caustic)")
-        # conjugate points: interior zeros of the Jacobi field
-        ts = np.linspace(0.0, dt, 400)
-        jj = res.sol(ts)[2]
-        interior = jj[1:-1]
-        signs = np.sign(interior[np.abs(interior) > 1e-14])
-        n_conj = int(np.sum(signs[:-1] * signs[1:] < 0))
-        # the shot ends a root tolerance short of x2: R(x2) = R(x_end) + p2 (x2 - x_end)
-        action = float(res.y[4, -1] - res.y[1, -1] * (res.y[0, -1] - x2))
-        amp = abs(1.0 / jt) ** 0.5
-        total += prefactor * amp * cmath.exp(1j * (action / hbar - n_conj * math.pi / 2.0))
-        paths.append(ClassicalAction("time", action, 1.0 / jt, n_conj))
-    return PropagatorValue(total, len(paths), tuple(paths))
+    value = prefactor * amp * cmath.exp(1j * (action / hbar - n_conj * math.pi / 2.0))
+    return PropagatorValue(value, 1, (ClassicalAction("time", action, 1.0 / jt, n_conj),))
 
 
 def exact_propagator_1d(system: SolvableSystem, x1: float, x2: float, dt: float) -> complex:

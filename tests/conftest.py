@@ -78,18 +78,6 @@ def ngon(centre, radius, n=12):
                      centre[1] + radius * np.sin(th)], axis=-1)
 
 
-def scan_segments(segments, t):
-    """Reference dense lookup: scan the segments in order for each time.
-
-    The first segment whose range, widened by 1e-12, holds t is evaluated;
-    None when no segment does.
-    """
-    for lo, hi, sol in segments:
-        if min(lo, hi) - 1e-12 <= t <= max(lo, hi) + 1e-12:
-            return sol(t)
-    return None
-
-
 def newtonian_residual_loop(traj, sup, n_samples=2001, grad_step=1e-5):
     """Reference Newtonian-form residual: one wavefield_sample per stencil point.
 

@@ -1,9 +1,8 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import VORTEX_PAIR_RADIUS, ngon, scan_segments
+from conftest import VORTEX_PAIR_RADIUS, ngon
 
 from pilotwave import bohmian as bm
 from pilotwave import quantum as qm
@@ -275,29 +274,16 @@ def test_trajectory_csv(tmp_path, two_mode_box_complex):
     assert np.isclose(data[0, 1], 0.4)
 
 
-def test_dense_lookup_segments(two_mode_box_complex):
-    """Two joined segments and a backward run keep the scan's choices and shapes."""
-    sup = two_mode_box_complex
-    a = bm.integrate_bohmian(sup, [0.37], (0.0, 0.4), tol=1e-10)
-    # start the second piece off the first one's end so the two are told apart
-    b = bm.integrate_bohmian(sup, [a.positions[-1] + 1e-3], (0.4, 0.8), tol=1e-10)
-    joined = dataclasses.replace(a, _segments=a._segments + b._segments)
-    back = bm.integrate_bohmian(sup, [0.5], (0.8, 0.0), tol=1e-10)
-    for traj, t_start, t_end in ((joined, 0.0, 0.8), (back, 0.8, 0.0)):
-        beyond = math.copysign(1.0, t_end - t_start)
-        for t in (t_start - 5e-13 * beyond, 0.4, t_end + 5e-13 * beyond):
-            x = traj.at(t)
-            assert x.shape == (1,)
-            assert x[0] == pytest.approx(scan_segments(traj._segments, t)[0], abs=1e-15)
-        for t in (t_start - 1e-9 * beyond, t_end + 1e-9 * beyond):
-            with pytest.raises(DomainError):
-                traj.at(t)
-        tt = np.random.default_rng(5).permutation(np.linspace(0.0, 0.8, 81))
-        batch = traj.at(tt)
-        assert batch.shape == (81,)
-        # the RK45 interpolant sums through a matrix product, so batch and
-        # single queries may round differently in the last place
-        np.testing.assert_allclose(batch, np.concatenate([traj.at(t) for t in tt]),
-                                   rtol=0, atol=1e-15)
-    assert joined.at(0.4)[0] == pytest.approx(a.positions[-1], abs=1e-9)  # earlier wins
-    assert joined.at(0.4 + 1e-6)[0] == pytest.approx(b.positions[0], abs=1e-5)
+def test_dense_lookup_backward_run(two_mode_box_complex):
+    """A backward run answers one position per time and refuses times outside it."""
+    back = bm.integrate_bohmian(two_mode_box_complex, [0.5], (0.8, 0.0), tol=1e-10)
+    np.testing.assert_array_equal(back.at(back.times), back.positions)
+    for t in (0.8 + 5e-13, 0.4, -5e-13):
+        assert back.at(t).shape == (1,)
+    for t in (0.8 + 1e-9, -1e-9):
+        with pytest.raises(DomainError):
+            back.at(t)
+    tt = np.random.default_rng(5).permutation(np.linspace(0.0, 0.8, 81))
+    batch = back.at(tt)
+    assert batch.shape == (81,)
+    np.testing.assert_array_equal(batch, np.concatenate([back.at(t) for t in tt]))

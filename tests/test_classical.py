@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import scan_segments
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from pilotwave import classical as cl
 from pilotwave import systems as sy
-from pilotwave.errors import DomainError, IntegrationError
+from pilotwave.errors import DomainError
 
 
 def test_rest_point_symmetry():
@@ -95,23 +93,6 @@ def test_box_bounce_conserves_energy(box1d):
     traj = cl.integrate_classical(box1d, sy.PhaseState((0.3,), (1.7,)), 5.0, tol=1e-10)
     assert traj.drift < 1e-8
     assert np.all((traj.states[:, 0] >= -1e-12) & (traj.states[:, 0] <= 1.0 + 1e-12))
-
-
-def test_event_restart_limit_keeps_partial_samples():
-    """An event that refires after every restart exhausts the restart limit."""
-    def half(t, y):
-        return y[0] - 0.5
-
-    half.terminal = True
-    # unit drift from 0, sent back by 1 at each crossing of 0.5: fires at t = 0.5, 1.5, 2.5
-    with pytest.raises(IntegrationError) as err:
-        cl._integrate_events(solve_ivp, lambda t, y: np.ones(1), (0.0, 100.0), np.zeros(1),
-                             [half], lambda k, t, y: y - 1.0, 3, "RK45", 1e-9, np.inf)
-    times, states = err.value.partial
-    assert np.all(np.diff(times) > 0)  # each restart sample listed once
-    assert times[0] == 0.0
-    assert abs(times[-1] - 2.5) < 1e-9
-    assert abs(states[-1, 0] - 0.5) < 1e-9
 
 
 def test_accessible_boundary_closed_curve():
@@ -300,28 +281,68 @@ def test_trajectory_csv_headers(tmp_path, ho1d):
     assert path2.read_text().splitlines()[0] == "t,q1,q2,p1,p2,invariant_drift"
 
 
-def test_dense_lookup_across_bounces(box1d):
-    """Several wall bounces give several segments; lookup keeps the scan's choices."""
-    traj = cl.integrate_classical(box1d, sy.PhaseState((0.3,), (1.7,)), 5.0, tol=1e-10)
-    segs = traj._segments
-    assert len(segs) >= 5
-    for (_, t_bounce, before), (_, _, after) in zip(segs[:-1], segs[1:]):
-        v = traj.at(t_bounce)[0]
-        # the earlier segment wins: momentum from before the bounce
-        np.testing.assert_array_equal(v, before(t_bounce))
-        assert v[1] * after(t_bounce)[1] < 0.0
-    t_start, t_end = traj.times[0], traj.times[-1]
-    for t in (t_start - 5e-13, t_end + 5e-13):
-        np.testing.assert_array_equal(traj.at(t)[0], scan_segments(segs, t))
-    for t in (t_start - 1e-9, t_end + 1e-9):
-        with pytest.raises(DomainError):
+def _folded_line(q0, v, lengths, t):
+    """Reference box motion: the straight line q0 + v t, mirrored at every multiple of L."""
+    q = np.mod(np.asarray(q0) + np.outer(t, v), 2.0 * lengths)
+    back = q > lengths
+    return np.where(back, 2.0 * lengths - q, q), np.where(back, -v, v)
+
+
+def test_dense_lookup_across_bounces(box1d, box2d):
+    """A box run is one free flight folded into the box, read through one dense output."""
+    for system, q0, p0 in ((box1d, (0.3,), (1.7,)), (box2d, (0.3, 0.8), (-1.1, 0.6))):
+        d, m = system.dimension, system.constants.mass
+        traj = cl.integrate_classical(system, sy.PhaseState(q0, p0), 5.0, tol=1e-10)
+        np.testing.assert_array_equal(traj.at(traj.times), traj.states)
+        lengths, v = np.array(system.lengths), np.array(p0) / m
+        bounces = []  # (axis, time) of each wall hit
+        for i, (q, vi, length) in enumerate(zip(q0, v, lengths)):
+            first = (length - q) / vi if vi > 0 else q / -vi
+            bounces += [(i, t) for t in np.arange(first, 5.0, length / abs(vi))]
+        assert len(bounces) >= 8
+        rng = np.random.default_rng(3)
+        t_random = rng.uniform(0.0, 5.0, 200)
+        tt = rng.permutation(np.concatenate([t_random, [t for _, t in bounces]]))
+        batch = traj.at(tt)
+        np.testing.assert_array_equal(batch, np.concatenate([traj.at(t) for t in tt]))
+        q_ref, v_ref = _folded_line(q0, v, lengths, tt)
+        np.testing.assert_allclose(batch[:, :d], q_ref, rtol=0, atol=1e-12)
+        random = np.isin(tt, t_random)
+        np.testing.assert_allclose(batch[random, d:], m * v_ref[random], rtol=0, atol=1e-12)
+        for i, t in bounces:
+            assert np.min(np.abs(traj.times - t)) <= 1e-12  # every wall hit is a sample
+            before, after = traj.at([t - 1e-6, t + 1e-6])[:, d + i]
+            assert before == -after != 0.0
+        for t in (-5e-13, 5.0 + 5e-13):
             traj.at(t)
-    rng = np.random.default_rng(3)
-    tt = rng.permutation(np.concatenate([rng.uniform(t_start, t_end, 200),
-                                         [s[1] for s in segs]]))
-    batch = traj.at(tt)
-    np.testing.assert_array_equal(batch, np.array([traj.at(t)[0] for t in tt]))
-    np.testing.assert_array_equal(batch, np.array([scan_segments(segs, t) for t in tt]))
+        for t in (-1e-9, 5.0 + 1e-9):
+            with pytest.raises(DomainError):
+                traj.at(t)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("value", [0.03, 0.5, 0.97])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_box_section_matches_closed_form(box2d, index, value, direction):
+    """Every crossing of a box section, also those a wall bounce hides between two steps."""
+    q0, v = np.array([0.3, 0.8]), np.array([-1.1, 0.6])
+    traj = cl.integrate_classical(box2d, sy.PhaseState(q0, v), 20.0, tol=1e-10)
+    pts = cl.poincare_section(traj, cl.SectionPlane(index, value, direction))
+    # the unfolded line meets q = value at 2 j L + value (momentum sign v) and
+    # at 2 j L - value (momentum sign -v); keep those moving along `direction`
+    lengths = np.array(box2d.lengths)
+    length, vi = lengths[index], v[index]
+    lo, hi = sorted((q0[index], q0[index] + 20.0 * vi))
+    j = np.arange(math.floor(lo / (2.0 * length)) - 1, math.ceil(hi / (2.0 * length)) + 2)
+    x = np.concatenate([2.0 * j * length + value, 2.0 * j * length - value])
+    moving = np.concatenate([np.full(j.size, np.sign(vi)), np.full(j.size, -np.sign(vi))])
+    keep = (x > lo) & (x < hi) & (moving == direction)
+    t = np.sort((x[keep] - q0[index]) / vi)
+    assert t.size >= 3
+    q_ref, v_ref = _folded_line(q0, v, lengths, t)
+    other = 1 - index
+    np.testing.assert_allclose(pts, np.column_stack([q_ref[:, other], v_ref[:, other]]),
+                               rtol=0, atol=1e-10)
 
 
 _coord = st.floats(-2.0, 2.0, allow_nan=False)

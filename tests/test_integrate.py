@@ -59,7 +59,14 @@ def test_diamagnetic_launch_matches_scipy(eps, theta):
 def test_solvable_systems_match_scipy(system, q0, p0):
     """Oscillators over a few periods; boxes up to their first wall, a terminal event."""
     rhs = cl._solvable_rhs(system)
-    walls = [e for _, _, e in cl._wall_events(system)]
+    walls = []
+    if system.kind == "box":
+        for i, length in enumerate(system.lengths):
+            for wall, sign in ((0.0, 1.0), (length, -1.0)):
+                def wall_event(t, y, i=i, wall=wall, sign=sign):
+                    return sign * (y[i] - wall)  # positive inside the box
+                wall_event.terminal = True
+                walls.append(wall_event)
     y0 = np.array(q0 + p0)
     t_eval = np.linspace(0.0, 5.0, 41)
     ours, ref = _both(rhs, (0.0, 5.0), y0, dense_output=True, events=walls or None)
@@ -164,3 +171,52 @@ def test_finished_runs_keep_nothing_alive():
     del fun
     gc.collect()
     assert alive() is None
+
+
+@pytest.mark.parametrize("rate", [1e-150, 8e-151, 1e-145])
+def test_negligible_derivative_steps_to_the_end(rate):
+    """dopri853 alone rejects every step here: its error norm is subnormal, not 0."""
+    res = solve_ivp(lambda t, y: [rate], (0.5, 0.7), [0.82], rtol=1e-6, atol=1e-6)
+    assert res.status == 0 and res.t[-1] == 0.7
+    # nfev counts the second run alone, which steps as if the derivative were 0
+    still = solve_ivp(lambda t, y: [0.0], (0.5, 0.7), [0.82], rtol=1e-6, atol=1e-6)
+    assert res.nfev == still.nfev
+    np.testing.assert_array_equal(res.y, 0.82)
+    mixed = solve_ivp(lambda t, y: [rate, 0.0], (0.5, 0.7), [0.82, 0.3], rtol=1e-6, atol=1e-6)
+    np.testing.assert_array_equal(mixed.y[:, -1], [0.82, 0.3])
+
+
+def test_step_too_small_without_negligible_derivatives_runs_once():
+    """A blow-up (y' = y^2 from 1, singular at t = 1) is not stepped a second time."""
+    called = []
+
+    def blow_up(t, y):
+        called.append(t)
+        return [y[0] * y[0]]
+
+    with pytest.raises(IntegrationError, match="step size becomes too small"):
+        solve_ivp(blow_up, (0.0, 2.0), [1.0], rtol=1e-8, atol=1e-8)
+    restarts = [k for k in range(1, len(called)) if called[k] == 0.0 != called[k - 1]]
+    assert restarts == []
+
+
+def test_dense_output_refuses_queries_outside_its_run():
+    for t_span in ((0.0, 2.0), (2.0, 0.0)):
+        res = solve_ivp(lambda t, y: (y[1], -y[0]), t_span, (0.0, 1.0), rtol=TOL, atol=TOL,
+                        dense_output=True)
+        start, end = t_span
+        beyond = math.copysign(1.0, end - start)
+        res.sol([start - 5e-13 * beyond, end + 5e-13 * beyond])
+        for t in (start - 1e-9 * beyond, end + 1e-9 * beyond):
+            with pytest.raises(DomainError):
+                res.sol(t)
+    # a terminal event ends the run inside its last step
+    def hit(t, y):
+        return y[0] - 0.5
+
+    hit.terminal = True
+    halted = solve_ivp(lambda t, y: (y[1], -y[0]), (0.0, 10.0), (0.0, 1.0), rtol=TOL, atol=TOL,
+                       dense_output=True, events=[hit])
+    assert halted.sol.end == halted.t[-1] < halted.sol.t[-1]
+    with pytest.raises(DomainError):
+        halted.sol(halted.t[-1] + 1e-9)

@@ -98,6 +98,25 @@ def test_van_vleck_harmonic_near_caustic_draws():
         assert abs(k.value - exact) / abs(exact) < 1e-10
 
 
+@pytest.mark.parametrize("lo, hi, conjugate_points", [
+    (math.pi - 0.065, math.pi - 0.005, 0),
+    (math.pi + 0.05, 2.0 * math.pi - 0.05, 1),
+])
+def test_van_vleck_harmonic_caustic_side_draws(lo, hi, conjugate_points):
+    """The one Newton shot finds the path up to w dt = pi - 0.005 and past the caustic."""
+    w = 1.3
+    ho = sy.harmonic(w)
+    rng = np.random.default_rng(2026)
+    for _ in range(30):
+        x1, x2 = rng.uniform(-1.8, 1.8, 2)
+        dt = rng.uniform(lo, hi) / w
+        k = sc.van_vleck_1d(ho, x1, x2, dt)
+        exact = sc.exact_propagator_1d(ho, x1, x2, dt)
+        assert k.contributing_paths == 1
+        assert k.paths[0].conjugate_points == conjugate_points
+        assert abs(k.value - exact) / abs(exact) < 1e-10
+
+
 def test_van_vleck_caustic_phase():
     """One conjugate point past dt = pi/omega shifts the phase by -pi/2."""
     w = 1.3
@@ -114,13 +133,12 @@ def test_van_vleck_caustic_phase():
     assert abs(naive - exact) / abs(exact) > 0.5
 
 
-def test_van_vleck_no_path_flag():
-    ho = sy.harmonic(1.0)
-    # an artificially tiny scan window sees no classical path: flagged zero
-    k = sc.van_vleck_1d(ho, -1.5, 1.5, 0.3, p_max=1e-4, n_scan=11)
-    assert k.no_path
-    assert k.value == 0.0
-    assert k.contributing_paths == 0
+def test_green_no_path_flag():
+    """An oscillator below its potential minimum has no classical path: a flagged zero."""
+    g = sc.semiclassical_green_1d(sy.harmonic(1.0), 0.2, 0.5, -1.0)
+    assert g.no_path
+    assert g.value == 0.0
+    assert g.contributing_paths == 0
 
 
 def test_van_vleck_rejects_bad_inputs(box1d):
