@@ -49,27 +49,20 @@ CIRCULATION_GUARD_FACTOR = 1e-7
 
 
 def _guidance(sup: Superposition, x, t):
-    """(v, |psi|) at points x of shape (D,), (2, D) or (N, D), with no node guard.
+    """(v, |psi|) at points x of shape (D,) or (N, D), with no node guard.
 
     t is one time or one per point.  Box points are evaluated 1e-12 L inside
-    the walls: trial stages of a step may poke just outside, and the exact
-    flow cannot leave the domain.
-    One point (shape (D,)) or two (shape (2, D)) go through `_point_guidance`
-    in Python floats; more go through batched calls of `CHUNK` points, each
-    followed by `phase_gradient`.
+    the walls (`_held_inside`): trial stages of a step may poke just outside,
+    and the exact flow cannot leave the domain.  One point (shape (D,)) goes
+    through `_point_guidance` in Python floats; N points through batched
+    calls of `CHUNK` points, each followed by `phase_gradient`.
     """
     system = sup.system
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1 or x.ndim == 2 and x.shape[0] == 2:
-        points = x.reshape(-1, system.dimension).tolist()
-        times = [t] * len(points) if np.ndim(t) == 0 else np.broadcast_to(t, len(points)).tolist()
-        rows = [_point_guidance(sup, p, tp) for p, tp in zip(points, times)]
-        if x.ndim == 1:
-            return np.array(rows[0][0]), rows[0][1]
-        return np.array([v for v, _ in rows]), np.array([amp for _, amp in rows])
-    if system.kind == "box":
-        pad = 1e-12 * max(system.lengths)
-        x = np.minimum(np.maximum(x, pad), np.subtract(system.lengths, pad))  # np.clip is slow
+    if x.ndim == 1:
+        v, amp = _point_guidance(sup, x.tolist(), t)
+        return np.array(v), amp
+    x = np.stack(_held_inside(system, x.T), axis=1)
     d, hbar, m = system.dimension, system.constants.hbar, system.constants.mass
 
     def chunk(xc, tc):
@@ -80,11 +73,11 @@ def _guidance(sup: Superposition, x, t):
 
 
 def _held_inside(system, p):
-    """D floats or D arrays p, box coordinates held 1e-12 L inside the walls as in `_guidance`."""
+    """D floats or D arrays p, box coordinates held 1e-12 L inside the walls."""
     if system.kind != "box":
         return p
     pad = 1e-12 * max(system.lengths)
-    if isinstance(p[0], np.ndarray):
+    if isinstance(p[0], np.ndarray):  # np.clip is slow
         return [np.minimum(np.maximum(xi, pad), L - pad) for xi, L in zip(p, system.lengths)]
     return [min(max(xi, pad), L - pad) for xi, L in zip(p, system.lengths)]
 
@@ -215,8 +208,7 @@ def _node_threshold(sup: Superposition) -> float:
     return NODE_THRESHOLD_FACTOR * amplitude_scale(sup)
 
 
-def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9,
-                      max_step: float = np.inf) -> BohmianTrajectory:
+def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9) -> BohmianTrajectory:
     """Integrate dx/dt = v(x, t) from x0 over t_span with DOP853.
 
     Halts with a partial trajectory when the node guard band is entered.
@@ -242,7 +234,7 @@ def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9,
     span = abs(t1 - t0)
     res = solve_ivp(partial(_guidance_rhs, sup), (t0, t1), x0, rtol=tol, atol=tol,
                     dense_output=True, events=[node_event],
-                    max_step=min(max_step, span / 32) if span > 0 else max_step)
+                    max_step=span / 32 if span > 0 else np.inf)
     node_encounters = [{"t": float(t), "x": y.tolist(), "rho": float(_guidance(sup, y, t)[1])}
                        for t, y in zip(res.t_events[0], res.y_events[0])]
     times, positions = res.t, res.y.T

@@ -211,22 +211,17 @@ class Trajectory:
         write_csv(path, ["t", "q1", "q2", "p1", "p2", "invariant_drift"], [t, *qp, drift])
 
 
-def _integrate_diamagnetic(system, y0, duration, tol, max_step, t_eval=None, t0=0.0):
-    eps = system.epsilon
-
+def _diamagnetic_rhs(eps):
+    """The regularized flow, then its physical-time and reduced-action quadratures,
+    dt = (mu^2 + nu^2) dtau and dS = (p_mu^2 + p_nu^2) dtau.  Component style."""
     def rhs(t, y):
-        return (*_flow(y, eps),
-                y[0] * y[0] + y[1] * y[1],   # physical time quadrature
-                y[2] * y[2] + y[3] * y[3])   # reduced action quadrature
+        return (*_flow(y, eps), y[0] * y[0] + y[1] * y[1], y[2] * y[2] + y[3] * y[3])
 
-    y0aug = np.concatenate([y0, [0.0, 0.0]])
-    return solve_ivp(rhs, (t0, t0 + duration), y0aug, rtol=tol, atol=tol,
-                     dense_output=True, max_step=max_step, t_eval=t_eval)
+    return rhs
 
 
 def integrate_classical(system, initial: PhaseState, duration: float,
-                        tol: float = 1e-10, max_step: float = np.inf,
-                        shell_tol: float = 1e-6) -> Trajectory:
+                        tol: float = 1e-10, shell_tol: float = 1e-6) -> Trajectory:
     """Integrate the classical flow for `duration` starting at `initial`.
 
     Diamagnetic systems integrate the regularized flow (duration is rescaled
@@ -241,7 +236,8 @@ def integrate_classical(system, initial: PhaseState, duration: float,
         h0 = float(regularized_hamiltonian(y0, system.epsilon))
         if abs(h0 - PSEUDO_ENERGY) > shell_tol:
             raise DomainError(f"initial state off shell: h = {h0!r}")
-        res = _integrate_diamagnetic(system, y0, duration, tol, max_step, t0=initial.t)
+        res = solve_ivp(_diamagnetic_rhs(system.epsilon), (initial.t, initial.t + duration),
+                        np.concatenate([y0, [0.0, 0.0]]), rtol=tol, atol=tol, dense_output=True)
         states = res.y[:4].T
         inv = regularized_hamiltonian(states, system.epsilon)
         return Trajectory(system, res.t, states, inv,
@@ -249,7 +245,7 @@ def integrate_classical(system, initial: PhaseState, duration: float,
     if not isinstance(system, SolvableSystem):
         raise DomainError(f"cannot integrate system of type {type(system)!r}")
     res = solve_ivp(_solvable_rhs(system), (initial.t, initial.t + duration), initial.as_array(),
-                    rtol=tol, atol=tol, dense_output=True, max_step=max_step)
+                    rtol=tol, atol=tol, dense_output=True)
     times, states = res.t, res.y.T
     if system.kind == "box":  # a sample at each wall hit: straight lines between samples
         times = np.union1d(times, _wall_hits(system, initial.t, initial.q, initial.p, duration))
@@ -423,7 +419,7 @@ class ChaosDiagnostics:
 
 
 def lyapunov_exponent(system, initial: PhaseState, horizon: float,
-                      tol: float = 1e-9, coverage_grid: int = 100) -> ChaosDiagnostics:
+                      tol: float = 1e-9) -> ChaosDiagnostics:
     """Largest finite-time Lyapunov exponent from one run of the tangent flow.
 
     For the diamagnetic system the rate is per unit rescaled time, and the
@@ -433,7 +429,7 @@ def lyapunov_exponent(system, initial: PhaseState, horizon: float,
     cov = 0.0
     if isinstance(system, DiamagneticSystem) and system.epsilon < 0:
         points = regularized_to_physical(res.y[:4].T)[:, :2]
-        cov = coverage_fraction(points, system.epsilon, coverage_grid)
+        cov = coverage_fraction(points, system.epsilon)
     return ChaosDiagnostics(float(res.y[-1, -1]) / horizon, horizon, cov)
 
 

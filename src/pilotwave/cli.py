@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, PilotwaveError
-from .runner import compare_report, render_report_text, run_scenario
+from .runner import compare_report, render_report_text, run_scenario, write_report
 from .svgplot import emit_plot
 
 __all__ = ["main"]
@@ -65,15 +65,9 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "compare":
             report = compare_report(args.manifests)
-            text = render_report_text(report)
             if args.out:
-                outdir = Path(args.out)
-                outdir.mkdir(parents=True, exist_ok=True)
-                with open(outdir / "report.json", "w", encoding="utf-8") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                with open(outdir / "report.txt", "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            print(text)
+                write_report(report, Path(args.out))
+            print(render_report_text(report))
             return EXIT_OK
         parser.error(f"unknown command {args.command!r}")
     except ConfigError as exc:

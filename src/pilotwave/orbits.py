@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from .classical import _flow, _tangent, integrate_classical, launch_from_nucleus
+from .classical import _diamagnetic_rhs, _flow, _tangent, integrate_classical, launch_from_nucleus
 from .errors import DomainError, IntegrationError
 from .integrate import solve_ivp
 from .systems import DiamagneticSystem, PhaseState, SolvableSystem
@@ -75,61 +76,70 @@ def _close_approaches(system, theta, tau_max, tol, capture_radius, tau_min=0.05)
     return out
 
 
-def _nearest_approach(system, theta, tau_ref, tau_max, tol, capture_radius, window):
-    """The close approach (tau, R, miss L) of one launch nearest tau_ref within `window`."""
-    near = [a for a in _close_approaches(system, theta, tau_max, tol, capture_radius)
-            if abs(a[0] - tau_ref) < window]
-    return min(near, key=lambda a: abs(a[0] - tau_ref)) if near else None
+def _closure(launch, bracket, tau_ref, window, closure_tol):
+    """(theta, tau) of the closure in `bracket` whose close approach starts near tau_ref.
+
+    launch(theta) lists the close approaches of one launch.  Each launch
+    follows the close approach within `window` of the last one followed, and
+    brentq pins the launch angle at which its signed miss L vanishes; a
+    bracket (theta, theta) only follows theta.  IntegrationError when the
+    approach is lost, when L has one sign on the bracket, or when the
+    closure misses the nucleus by more than closure_tol.
+    """
+    def approach(theta):
+        nonlocal tau_ref
+        near = [a for a in launch(theta) if abs(a[0] - tau_ref) < window]
+        if not near:
+            raise IntegrationError("lost the tracked close approach")
+        best = min(near, key=lambda a: abs(a[0] - tau_ref))
+        tau_ref = best[0]
+        return best
+
+    theta = bracket[0]
+    if bracket[1] != theta:
+        try:
+            theta = brentq(lambda th: approach(th)[2], *bracket, xtol=1e-13)
+        except ValueError as exc:
+            raise IntegrationError(f"closure bracket does not straddle: {exc}") from exc
+    tau, resid, _ = approach(theta)
+    if resid > closure_tol:
+        raise IntegrationError(f"closure residual {resid:.2e} above tolerance")
+    return theta, tau
 
 
-def _build_orbit(system, theta, tau_period, tol, n_samples=2001):
-    """Assemble a ClosedOrbit by re-integrating with quadratures attached."""
-    from .classical import _integrate_diamagnetic
+def _build_orbit(system, theta, tau_period, tol):
+    """A ClosedOrbit from one DOP853 run over one closure.
 
-    y0 = launch_from_nucleus(theta).as_array()
-    t_eval = np.linspace(0.0, tau_period, n_samples)
-    res = _integrate_diamagnetic(system, y0, tau_period, tol, np.inf, t_eval=t_eval)
-    path = res.y[:4].T
-    residual = math.hypot(path[-1, 0], path[-1, 1])
-    period = float(res.y[4, -1])
-    action = float(res.y[5, -1])
-    trace, index = _monodromy(system, y0, tau_period, tol)
+    The run carries the path, the physical-time and action quadratures and
+    the monodromy matrix M by columns, z[6 + 4 j + i] = M[i][j].  Conjugate
+    points are sign changes of det(dq/dp0) strictly inside the run; the
+    refocusing zero at the endpoint itself is not counted.
+    """
+    eps = system.epsilon
+    flow = _diamagnetic_rhs(eps)
+
+    def rhs(t, z):
+        return (*flow(t, z), *_tangent(z, eps, z[6:]))
+
+    z0 = np.concatenate([launch_from_nucleus(theta).as_array(), [0.0, 0.0], np.eye(4).ravel()])
+    res = solve_ivp(rhs, (0.0, tau_period), z0, rtol=tol, atol=tol,
+                    t_eval=np.linspace(0.0, tau_period, 2001))
+    path, m = res.y[:4].T, res.y[6:]
+    # det of the position-vs-initial-momentum block [[M02, M03], [M12, M13]] along the run
+    interior = (m[8] * m[13] - m[12] * m[9])[1:-1]
+    signs = np.sign(interior[np.abs(interior) > 1e-13])
     return ClosedOrbit(
         launch_angle=theta,
-        period=period,
+        period=float(res.y[4, -1]),
         tau_period=tau_period,
-        action=action,
-        monodromy_trace=trace,
-        phase_index=index,
-        closure_residual=residual,
+        action=float(res.y[5, -1]),
+        monodromy_trace=float(np.trace(m[:, -1].reshape(4, 4))),
+        phase_index=int(np.sum(signs[:-1] * signs[1:] < 0)),
+        closure_residual=math.hypot(path[-1, 0], path[-1, 1]),
         times=res.t,
         path=path,
         system=system,
     )
-
-
-def _monodromy(system, y0, tau_period, tol, n_check=2000):
-    """Linearized flow over one closure; trace and conjugate-point count.
-
-    Conjugate points are sign changes of det(dq/dp0) strictly inside the
-    interval; the refocusing zero at the endpoint itself is not counted.
-    The monodromy matrix M is carried by columns: z[4 + 4 j + i] = M[i][j].
-    """
-    eps = system.epsilon
-
-    def rhs(t, z):
-        return [*_flow(z, eps), *_tangent(z, eps, z[4:])]
-
-    z0 = np.concatenate([y0, np.eye(4).reshape(-1)])
-    t_eval = np.linspace(0.0, tau_period, n_check)
-    res = solve_ivp(rhs, (0.0, tau_period), z0, rtol=tol, atol=tol, t_eval=t_eval)
-    m_final = res.y[4:, -1].reshape(4, 4).T
-    # det of the position-vs-initial-momentum block [[M02, M03], [M12, M13]] along the way
-    dets = res.y[4 + 8] * res.y[4 + 13] - res.y[4 + 12] * res.y[4 + 9]
-    interior = dets[1:-1]
-    signs = np.sign(interior[np.abs(interior) > 1e-13])
-    flips = int(np.sum(signs[:-1] * signs[1:] < 0))
-    return float(np.trace(m_final)), flips
 
 
 def find_closed_orbits(
@@ -162,9 +172,9 @@ def find_closed_orbits(
     for th in (0.0, math.pi / 4.0):
         found += [(th, tau_e) for tau_e, r_e, _ in scan.get(th, []) if r_e <= closure_tol]
 
-    def tracked_miss(theta, tau_ref):
-        return _nearest_approach(system, theta, tau_ref, tau_max, tol, capture_radius,
-                                 match_window)
+    def launch(theta):  # brentq starts at the bracket ends, which the scan launched
+        return scan[theta] if theta in scan else _close_approaches(
+            system, theta, tau_max, tol, capture_radius)
 
     for th_a, th_b in zip(angles[:-1], angles[1:]):
         for tau_a, r_a, miss_a in scan[th_a]:
@@ -174,29 +184,12 @@ def find_closed_orbits(
             tau_b, r_b, miss_b = min(match, key=lambda m: abs(m[0] - tau_a))
             if miss_a == 0.0 or miss_b == 0.0 or miss_a * miss_b > 0:
                 continue
-
-            tau_track = {"tau": 0.5 * (tau_a + tau_b)}
-
-            def f(theta):
-                m = tracked_miss(theta, tau_track["tau"])
-                if m is None:
-                    raise IntegrationError("lost the tracked close approach")
-                tau_track["tau"] = m[0]
-                return m[2]
-
             try:
-                theta_star = brentq(f, th_a, th_b, xtol=1e-13)
-            except (ValueError, IntegrationError) as exc:
+                found.append(_closure(launch, (th_a, th_b), 0.5 * (tau_a + tau_b),
+                                      match_window, closure_tol))
+            except IntegrationError as exc:
                 diagnostics.append({"bracket": (float(th_a), float(th_b)),
                                     "tau": float(tau_a), "reason": str(exc)})
-                continue
-            tau_star, resid, _ = tracked_miss(theta_star, tau_track["tau"]) or (0.0, math.inf, 0.0)
-            if resid <= closure_tol:
-                found.append((theta_star, tau_star))
-            else:
-                diagnostics.append({"bracket": (float(th_a), float(th_b)),
-                                    "tau": float(tau_a),
-                                    "reason": f"residual {resid:.2e} above tolerance"})
 
     # deduplicate: same angle within the grid step and same period within 1e-4
     orbits = []
@@ -228,61 +221,28 @@ def continue_orbit(system: DiamagneticSystem, orbit: ClosedOrbit,
     a small bracket around the previous angle.
     """
     th0 = orbit.launch_angle
-
-    def closure(theta, tau_ref):
-        return _nearest_approach(system, theta, tau_ref, orbit.tau_period * 1.3, tol, 0.5, 0.35)
-
     symmetric = min(abs(th0 - 0.0), abs(th0 - math.pi / 4.0), abs(th0 - math.pi / 2.0)) < 1e-12
-
-    def residual_free_theta():
-        span = 0.02
-        tau_track = {"tau": orbit.tau_period}
-
-        def f(theta):
-            best = closure(theta, tau_track["tau"])
-            if best is None:
-                raise IntegrationError("lost the closure during continuation")
-            tau_track["tau"] = best[0]
-            return best[2]
-
-        a, b = th0 - span, th0 + span
-        fa, fb = f(a), f(b)
-        if fa * fb > 0:
-            raise IntegrationError("continuation bracket does not straddle closure")
-        return brentq(f, a, b, xtol=1e-13), tau_track["tau"]
-
-    if symmetric:
-        theta, tau_ref = th0, orbit.tau_period
-    else:
-        theta, tau_ref = residual_free_theta()
-    tau_star, resid, _ = closure(theta, tau_ref) or (0.0, math.inf, 0.0)
-    if resid > closure_tol:
-        raise IntegrationError(f"continuation closure residual {resid:.2e}")
-    return _build_orbit(system, theta, tau_star, tol)
+    span = 0.0 if symmetric else 0.02
+    theta, tau = _closure(
+        lambda th: _close_approaches(system, th, orbit.tau_period * 1.3, tol, 0.5),
+        (th0 - span, th0 + span), orbit.tau_period, 0.35, closure_tol)
+    return _build_orbit(system, theta, tau, tol)
 
 
-def orbit_invariants(orbit: ClosedOrbit, system=None):
+def orbit_invariants(orbit: ClosedOrbit):
     """(action, period, monodromy trace, conjugate points) of a closed orbit.
 
     The action is recomputed as the quadrature of p . dq over the stored path
     samples (composite Simpson), independent of the integrator's running
-    quadrature; the monodromy comes from the linearized flow over one period.
+    quadrature; the monodromy trace and conjugate points are those of the
+    orbit's run, which carried the linearized flow over one period.
     """
-    system = system or orbit.system
     path = orbit.path
     if path.shape[0] < 5 or orbit.tau_period <= 0:
         raise DomainError("degenerate orbit")
     # p . dq/dtau = p_mu^2 + p_nu^2 for the regularized flow
-    integrand = path[:, 2] ** 2 + path[:, 3] ** 2
-    action = _simpson(integrand, orbit.times)
-    trace, index = _monodromy(system, path[0], orbit.tau_period, 1e-11)
-    return action, orbit.period, trace, index
-
-
-def _simpson(y, x):
-    from scipy.integrate import simpson
-
-    return float(simpson(y, x=x))
+    action = float(simpson(path[:, 2] ** 2 + path[:, 3] ** 2, x=orbit.times))
+    return action, orbit.period, orbit.monodromy_trace, orbit.phase_index
 
 
 def solvable_orbit(system: SolvableSystem, energy: float, tol: float = 1e-11) -> ClosedOrbit:
@@ -312,7 +272,7 @@ def solvable_orbit(system: SolvableSystem, energy: float, tol: float = 1e-11) ->
     samples = traj.at(tt)
     path = np.stack([samples[:, 0], np.zeros_like(tt), samples[:, 1],
                      np.zeros_like(tt)], axis=-1)
-    action = _simpson(samples[:, 1] ** 2 / m, tt)
+    action = float(simpson(samples[:, 1] ** 2 / m, x=tt))
     # variational flow over a full period is the identity
     return ClosedOrbit(0.0, period, period, action, 2.0, 2, 0.0, tt, path, system)
 

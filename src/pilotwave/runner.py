@@ -247,10 +247,7 @@ def run_scenario(config_path, out_dir=None) -> RunManifest:
         report = compare_report([Path(p) for p in scn.run["inputs"]],
                                 classical_threshold=scn.run["classical_chaos_threshold"],
                                 bohmian_threshold=scn.run["bohmian_chaos_threshold"])
-        _write_json(out / "report.json", report)
-        with open(out / "report.txt", "w", encoding="utf-8") as fh:
-            fh.write(render_report_text(report))
-        produced = [out / "report.json", out / "report.txt"]
+        produced = write_report(report, out)
     else:
         produced = _RUNNERS[scn.kind](scn, out)
     wall = time.perf_counter() - start
@@ -347,6 +344,15 @@ def _delta(a, b):
     if a is None or b is None:
         return None
     return abs(a - b)
+
+
+def write_report(report: dict, out: Path) -> list[Path]:
+    """Write a compare report to out/report.json and out/report.txt; returns both paths."""
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "report.json", report)
+    with open(out / "report.txt", "w", encoding="utf-8") as fh:
+        fh.write(render_report_text(report))
+    return [out / "report.json", out / "report.txt"]
 
 
 def render_report_text(report: dict) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import _stiffness
+from .classical import _solvable_rhs, _stiffness
 from .errors import DomainError, TurningPointError
 from .integrate import solve_ivp
 from .systems import SolvableSystem
@@ -77,14 +77,17 @@ def hamilton_jacobi_residual(action, x: float, t: float, system: SolvableSystem,
 def _shoot(system: SolvableSystem, x1: float, p0: float, dt: float, tol: float):
     """Integrate (x, p, J, Jp, R) for time dt; J is the Jacobi field dx/dp0.
 
-    The potential is quadratic, V = k x^2 / 2, so V'' = k drives the Jacobi field.
+    The potential is quadratic, V = k x^2 / 2, so the flow is linear and the
+    Jacobi field (J, Jp) obeys Hamilton's equations too; R accumulates the
+    Lagrangian p^2/2m - k x^2/2.
     """
     m = system.constants.mass
     k = _stiffness(system)[0]
+    flow = _solvable_rhs(system)
 
     def rhs(t, y):
-        x, p, jx, jp, _ = y
-        return (p / m, -k * x, jp / m, -k * jx, p * p / (2.0 * m) - 0.5 * k * x * x)
+        x, p = y[0], y[1]
+        return (*flow(t, y), *flow(t, y[2:]), p * p / (2.0 * m) - 0.5 * k * x * x)
 
     return solve_ivp(rhs, (0.0, dt), (x1, p0, 0.0, 1.0, 0.0), rtol=tol, atol=tol,
                      dense_output=True)

@@ -97,10 +97,11 @@ def mean_level_density_mc(system: SolvableSystem, energy: float, n_samples: int 
 class OrbitFamily:
     """A primitive periodic orbit as energy-dependent trace-formula input.
 
-    `action` and `period` are callables of E.  orbit_class selects the
-    amplitude rule: "integrable_1d" uses T/(pi hbar) with `phase_per_period`
-    accumulated per repetition; "isolated" uses the monodromy-trace rule
-    with pi/2 per conjugate point per repetition.
+    `action` and `period` map an array of energies to an array of that
+    shape (`monodromy_trace` too, for isolated orbits).  orbit_class selects
+    the amplitude rule: "integrable_1d" uses T/(pi hbar) with
+    `phase_per_period` accumulated per repetition; "isolated" uses the
+    monodromy-trace rule with pi/2 per conjugate point per repetition.
     """
 
     label: str
@@ -110,23 +111,21 @@ class OrbitFamily:
     phase_per_period: float = math.pi
     monodromy_trace: object = None
 
-    def amplitude(self, energy: float, k: int, hbar: float) -> float:
-        t = float(self.period(energy))
+    def amplitude(self, energy, k: int, hbar: float):
+        """Amplitude of the k-th repetition at each energy."""
+        t = self.period(energy)
         if self.orbit_class == "integrable_1d":
             return t / (math.pi * hbar)
         if self.orbit_class == "isolated":
-            tr = float(self.monodromy_trace(energy))
-            half = tr / 2.0
-            if abs(half) > 1.0:  # hyperbolic: tr M^k = 2 cosh(k u)
-                u = math.acosh(abs(half))
-                tr_k = 2.0 * math.cosh(k * u) * (1.0 if half > 0 else (-1.0) ** k)
-            else:  # elliptic: tr M^k = 2 cos(k theta)
-                theta = math.acos(half)
-                tr_k = 2.0 * math.cos(k * theta)
-            det = abs(tr_k - 2.0)
-            if det < 1e-12:
+            half = np.asarray(self.monodromy_trace(energy), dtype=float) / 2.0
+            sign = np.where(half > 0, 1.0, (-1.0) ** k)
+            with np.errstate(invalid="ignore"):  # each branch is nan where the other holds
+                hyperbolic = 2.0 * np.cosh(k * np.arccosh(np.abs(half))) * sign  # 2 cosh(k u)
+                elliptic = 2.0 * np.cos(k * np.arccos(half))  # tr M^k = 2 cos(k theta)
+            det = np.abs(np.where(np.abs(half) > 1.0, hyperbolic, elliptic) - 2.0)
+            if np.any(det < 1e-12):
                 raise DomainError("marginally stable orbit has no isolated amplitude")
-            return t / (math.pi * hbar * math.sqrt(det))
+            return t / (math.pi * hbar * np.sqrt(det))
         raise DomainError(f"unknown orbit class {self.orbit_class!r}")
 
 
@@ -138,7 +137,7 @@ def harmonic_orbit_family(system: SolvableSystem) -> OrbitFamily:
     return OrbitFamily(
         label="oscillator",
         action=lambda e: 2.0 * math.pi * e / w,
-        period=lambda e: 2.0 * math.pi / w,
+        period=lambda e: np.full(np.shape(e), 2.0 * math.pi / w),
         orbit_class="integrable_1d",
         phase_per_period=math.pi,  # two smooth turning points
     )
@@ -152,8 +151,8 @@ def box_orbit_family(system: SolvableSystem) -> OrbitFamily:
     m = system.constants.mass
     return OrbitFamily(
         label="box",
-        action=lambda e: 2.0 * L * math.sqrt(2.0 * m * e),
-        period=lambda e: 2.0 * L * math.sqrt(m / (2.0 * e)),
+        action=lambda e: 2.0 * L * np.sqrt(2.0 * m * e),
+        period=lambda e: 2.0 * L * np.sqrt(m / (2.0 * e)),
         orbit_class="integrable_1d",
         phase_per_period=2.0 * math.pi,  # pi per hard wall bounce
     )
@@ -194,22 +193,20 @@ def trace_formula_density(system: SolvableSystem, families, energies,
     hbar = system.constants.hbar
     energies = np.asarray(energies, dtype=float)
     mean = np.array([mean_level_density(system, e) for e in energies])
-    osc = np.zeros_like(energies)
+    positive = energies > 0
+    e = energies[positive]
+    part = np.zeros_like(e)
     for fam in families:
-        for i, e in enumerate(energies):
-            if e <= 0:
-                continue
-            s = float(fam.action(e))
-            t = float(fam.period(e))
-            amp = None
-            for k in range(1, repetitions + 1):
-                damp = math.exp(-0.5 * (k * t * gamma / hbar) ** 2)
-                if damp < 1e-16:
-                    break
-                if amp is None or fam.orbit_class != "integrable_1d":  # T/(pi hbar) is k-free
-                    amp = fam.amplitude(e, k, hbar)
-                phase = k * s / hbar - k * fam.phase_per_period
-                osc[i] += amp * damp * math.cos(phase)
+        s, t = fam.action(e), fam.period(e)
+        for k in range(1, repetitions + 1):
+            damp = np.exp(-0.5 * (k * t * gamma / hbar) ** 2)
+            live = damp >= 1e-16  # damp falls with k: an energy dropped stays dropped
+            if not np.any(live):
+                break
+            phase = k * s[live] / hbar - k * fam.phase_per_period
+            part[live] += fam.amplitude(e[live], k, hbar) * damp[live] * np.cos(phase)
+    osc = np.zeros_like(energies)
+    osc[positive] = part
     return LevelDensity(energies, mean, osc, gamma)
 
 

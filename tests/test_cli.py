@@ -214,6 +214,26 @@ def test_compare_scenarios(tmp_path):
     assert len(single["scenarios"]) == 1 and not single["deltas"]
 
 
+def test_cli_compare_report_matches_compare_scenario(tmp_path, capsys):
+    """`pilotwave compare --out` and a compare scenario write the same report bytes."""
+    runs = []
+    for eps in (-1.0, -0.15):
+        name = f"c{eps:+g}"
+        cfg = _write(tmp_path / f"{name}.json", _classical_doc(
+            name=name, epsilon=eps, duration=5.0, lyapunov={"horizon": 5.0}))
+        run_scenario(cfg, out_dir=tmp_path / name)
+        runs.append(str(tmp_path / name))
+    cmp_cfg = _write(tmp_path / "cmp.json", {"schema": 1, "name": "cmp", "kind": "compare",
+                                             "run": {"inputs": runs}})
+    run_scenario(cmp_cfg, out_dir=tmp_path / "scenario")
+    assert cli.main(["compare", *runs, "--out", str(tmp_path / "cli")]) == 0
+    for name in ("report.json", "report.txt"):
+        cli_bytes = (tmp_path / "cli" / name).read_bytes()
+        assert cli_bytes == (tmp_path / "scenario" / name).read_bytes()
+        assert cli_bytes.endswith(b"\n")
+    assert capsys.readouterr().out == (tmp_path / "cli" / "report.txt").read_text() + "\n"
+
+
 def test_emit_plot_trajectory_with_overlay(tmp_path):
     cfg = _write(tmp_path / "c.json", _classical_doc())
     run_scenario(cfg, out_dir=tmp_path / "out")

@@ -213,7 +213,7 @@ def test_one_point_outside_box_raises(lengths):
 @settings(max_examples=150, deadline=None)
 @given(case=wavefields(wall=(1e-9, 1e-12)))
 def test_guidance_one_and_two_points_match_batched_rows(case):
-    """Shapes (D,) and (2, D) take the scalar path; N >= 3 points the batched one.
+    """Shape (D,) takes the scalar path; (2, D) and N >= 3 points the batched one.
 
     Box coordinates up to 1e-9 outside a wall are clamped alike on both.
     """

@@ -60,13 +60,19 @@ def test_action_period_derivative(orbits_eps1):
         assert abs(ds_de / o.period - 1.0) < 1e-3
 
 
-def test_orbit_invariants_consistency(orbits_eps1):
+def test_orbit_invariants_consistency(orbits_eps1, monkeypatch):
+    """The monodromy is the orbit's own run: returned exactly, not integrated again."""
     orbits, _ = orbits_eps1
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("orbit_invariants integrated the orbit again")
+
+    monkeypatch.setattr(ob, "solve_ivp", no_run)
     for o in orbits:
         s, t, trace, index = ob.orbit_invariants(o)
         assert abs(s - o.action) < 1e-7
         assert t == o.period
-        assert abs(trace - o.monodromy_trace) < 1e-6
+        assert trace == o.monodromy_trace
         assert index == o.phase_index >= 0
 
 

@@ -124,6 +124,53 @@ def test_isolated_amplitude_rule():
         marginal.amplitude(1.0, 1, 1.0)
 
 
+def test_trace_formula_isolated_grid_matches_scalar_sum(ho1d):
+    """The array sum over a grid equals the per-energy scalar sum of every repetition.
+
+    The Gaussian damping cuts the repetitions at a different k per energy
+    (the periods grow with E), and energies at or below zero carry no orbits.
+    Elliptic (tr M in (-2, 2)) and hyperbolic (|tr M| > 2, both signs) orbits.
+    """
+    families = [
+        sp.OrbitFamily("elliptic", action=lambda e: 3.0 * e, period=lambda e: 1.0 + 0.5 * e,
+                       orbit_class="isolated", phase_per_period=math.pi / 2.0,
+                       monodromy_trace=lambda e: 2.0 * np.cos(0.3 + 0.1 * e)),
+        sp.OrbitFamily("hyperbolic", action=lambda e: 2.0 * e + 0.1 * e * e,
+                       period=lambda e: 2.0 + 0.2 * e, orbit_class="isolated",
+                       monodromy_trace=lambda e: 2.5 + e),
+        sp.OrbitFamily("inverse", action=lambda e: 1.7 * e, period=lambda e: 1.5 + 0.0 * e,
+                       orbit_class="isolated", phase_per_period=3.0 * math.pi / 2.0,
+                       monodromy_trace=lambda e: -2.5 - 0.5 * e),
+    ]
+    grid = np.concatenate([[-0.5, 0.0], np.linspace(0.5, 3.0, 251)])
+    reps, gamma, hbar = 10, 1.0, ho1d.constants.hbar
+    density = sp.trace_formula_density(ho1d, families, grid, reps, gamma)
+    for e, osc in zip(grid, density.oscillatory):
+        total = scale = 0.0
+        for fam in families:
+            t = float(fam.period(e))
+            half = float(fam.monodromy_trace(e)) / 2.0
+            for k in range(1, reps + 1):
+                damp = math.exp(-0.5 * (k * t * gamma / hbar) ** 2)
+                if e <= 0 or damp < 1e-16:
+                    break
+                if abs(half) > 1.0:
+                    sign = 1.0 if half > 0 else (-1.0) ** k
+                    tr_k = 2.0 * math.cosh(k * math.acosh(abs(half))) * sign
+                else:
+                    tr_k = 2.0 * math.cos(k * math.acos(half))
+                term = (t / (math.pi * hbar * math.sqrt(abs(tr_k - 2.0))) * damp
+                        * math.cos(k * float(fam.action(e)) / hbar - k * fam.phase_per_period))
+                total += term
+                scale += abs(term)
+        assert abs(osc - total) <= 1e-14 * scale
+    assert np.all(density.oscillatory[:2] == 0.0)
+    marginal = sp.OrbitFamily("marginal", action=lambda e: e, period=lambda e: 1.0 + 0.0 * e,
+                              orbit_class="isolated", monodromy_trace=lambda e: 2.0 + 0.0 * e)
+    with pytest.raises(DomainError):
+        sp.trace_formula_density(ho1d, [families[0], marginal], grid, reps, gamma)
+
+
 def test_recurrence_single_eigenstate(ho1d):
     sup = qm.Superposition.of(ho1d, [(1.0, 3)])
     t = np.linspace(0.0, 10.0, 501)
