@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .csvio import write_csv
 from .errors import DomainError
@@ -174,23 +174,18 @@ class Trajectory:
     def tau_at_physical_time(self, t_phys) -> np.ndarray:
         """Invert the accumulated physical-time channel on the dense output.
 
-        The channel is strictly increasing (dt = 2r dtau), so each requested
-        time has a unique rescaled time, found by bracketed root solving.
+        A forward run's channel is strictly increasing (dt = 2r dtau): each
+        time in its range has one rescaled time, all found in one root solve.
         """
         if self.physical_time is None:
             raise DomainError("trajectory carries no physical-time channel")
         t_phys = np.atleast_1d(np.asarray(t_phys, dtype=float))
-        out = np.empty_like(t_phys)
-        for i, tp in enumerate(t_phys):
-            k = int(np.searchsorted(self.physical_time, tp))
-            if k == 0:
-                out[i] = self.times[0]
-                continue
-            if k >= self.times.size:
-                raise DomainError(f"physical time {tp} beyond trajectory end")
-            out[i] = brentq(lambda tau: self.at(np.array([tau]))[0, 4] - tp,
-                            self.times[k - 1], self.times[k], xtol=1e-14)
-        return out
+        pt = self.physical_time
+        if np.any((t_phys < pt[0]) | (t_phys > pt[-1])):
+            raise DomainError(f"physical times outside the run's [{pt[0]}, {pt[-1]}]")
+        k = np.clip(np.searchsorted(pt, t_phys), 1, pt.size - 1)
+        return _roots(lambda tau, tp: self.at(tau)[:, 4] - tp,
+                      self.times[k - 1], self.times[k], t_phys)
 
     def to_csv(self, path) -> None:
         """Spec export: t,q1,q2,p1,p2,invariant_drift.
@@ -472,6 +467,15 @@ def _tangent_run(system, y0, horizon, tol):
                      t_eval=t_eval)
 
 
+def _roots(f, a, b, *args):
+    """Roots of f(t, *args) between a and b (either order), elementwise, in one find_root."""
+    res = find_root(f, (np.minimum(a, b), np.maximum(a, b)), args=args)
+    bad = res.status != 0
+    if bad.any():
+        raise DomainError(f"no root converged in [{a[bad][0]}, {b[bad][0]}]")
+    return res.x
+
+
 @dataclass(frozen=True)
 class SectionPlane:
     """Poincare section q[index] = value, crossings with sign(direction) velocity."""
@@ -480,32 +484,27 @@ class SectionPlane:
     value: float = 0.0
     direction: int = 1
 
+    def __post_init__(self):
+        if self.index not in (0, 1) or self.direction not in (-1, 1):
+            raise DomainError(f"a section needs index 0 or 1 and direction -1 or 1: {self}")
+
 
 def poincare_section(trajectory: Trajectory, section: SectionPlane) -> np.ndarray:
     """Ordered same-orientation crossings of a position hyperplane.
 
-    Returns (n, 2) points (q_other, p_other) for 2-dof systems; crossings are
-    refined with a root solve on the dense interpolant between samples.
-    Zero crossings yield an empty array.
+    Returns (n, 2) points (q_other, p_other) for 2-dof systems: samples on
+    the plane as they are, and every sign change between samples refined on
+    the dense output, all in one root solve.  No crossings: an empty array.
     """
-    states = trajectory.states
+    states, times = trajectory.states, trajectory.times
     if states.shape[1] != 4:
         raise DomainError("poincare_section needs a 2-dof trajectory")
-    i = section.index
-    other = 1 - i
+    i, other = section.index, 1 - section.index
     g = states[:, i] - section.value
-    vel = states[:, 2 + i]
-    pts = []
-    times = trajectory.times
-    for k in range(len(times) - 1):
-        a, b = g[k], g[k + 1]
-        if a == 0.0 and vel[k] * section.direction > 0:
-            pts.append((states[k, other], states[k, 2 + other]))
-            continue
-        if a * b < 0:
-            f = lambda t: trajectory.at(t)[0, i] - section.value  # noqa: E731
-            t_star = brentq(f, times[k], times[k + 1], xtol=1e-13)
-            st = trajectory.at(t_star)[0]
-            if st[2 + i] * section.direction > 0:
-                pts.append((st[other], st[2 + other]))
-    return np.array(pts) if pts else np.empty((0, 2))
+    k = np.nonzero((g[:-1] == 0.0) | (g[:-1] * g[1:] < 0.0))[0]
+    hits, cross = states[k], g[k] != 0.0
+    t = _roots(lambda t: trajectory.at(t)[:, i] - section.value,
+               times[k[cross]], times[k[cross] + 1])
+    hits[cross] = trajectory.at(t)[:, :4]
+    hits = hits[hits[:, 2 + i] * section.direction > 0]
+    return hits[:, [other, 2 + other]]

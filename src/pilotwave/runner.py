@@ -90,6 +90,7 @@ def _run_classical(scn: Scenario, out: Path) -> list[Path]:
     if not isinstance(system, DiamagneticSystem):
         raise ConfigError("system", "classical scenarios run the diamagnetic system")
     run = scn.run
+    section = run["section"] and SectionPlane(**run["section"])  # a bad plane fails before the run
     initial = launch_from_nucleus(run["launch_angle"])
     traj = integrate_classical(system, initial, run["duration"], tol=run["tol"])
     files = []
@@ -110,9 +111,8 @@ def _run_classical(scn: Scenario, out: Path) -> list[Path]:
         diagnostics["lyapunov"] = diag.lyapunov_estimate
         diagnostics["lyapunov_horizon"] = diag.horizon
         diagnostics["coverage"] = diag.coverage_fraction
-    if run["section"] is not None:
-        sec = run["section"]
-        pts = poincare_section(traj, SectionPlane(sec["index"], sec["value"], sec["direction"]))
+    if section is not None:
+        pts = poincare_section(traj, section)
         write_csv(out / "section.csv", ["q", "p"], pts.T)
         files.append(out / "section.csv")
         diagnostics["section_points"] = int(pts.shape[0])

@@ -345,6 +345,66 @@ def test_box_section_matches_closed_form(box2d, index, value, direction):
                                rtol=0, atol=1e-10)
 
 
+def _brentq_section(trajectory, section):
+    """Reference section: each crossing refined by its own brentq on the dense output."""
+    states, times = trajectory.states, trajectory.times
+    i, other = section.index, 1 - section.index
+    g = states[:, i] - section.value
+    pts = []
+    for k in range(len(times) - 1):
+        if g[k] == 0.0 and states[k, 2 + i] * section.direction > 0:
+            pts.append((states[k, other], states[k, 2 + other]))
+        elif g[k] * g[k + 1] < 0:
+            t_star = brentq(lambda t: trajectory.at(t)[0, i] - section.value,
+                            times[k], times[k + 1], xtol=1e-13)
+            st = trajectory.at(t_star)[0]
+            if st[2 + i] * section.direction > 0:
+                pts.append((st[other], st[2 + other]))
+    return np.array(pts) if pts else np.empty((0, 2))
+
+
+@pytest.mark.parametrize("run", ["regular", "chaotic", "backward", "box-backward"])
+def test_section_matches_brentq_reference(run, box2d):
+    """One vectorized solve over all crossings finds what the per-crossing brentq finds."""
+    if run == "box-backward":
+        traj = cl.integrate_classical(box2d, sy.PhaseState((0.3, 0.8), (-1.1, 0.6)), -400.0,
+                                      tol=1e-10)
+        planes = [cl.SectionPlane(0, 0.4, 1), cl.SectionPlane(1, 0.7, -1)]
+    else:
+        eps, theta, duration = {"regular": (-1.0, 0.9, 400.0), "chaotic": (-0.15, 0.5, 400.0),
+                                "backward": (-0.15, 0.7, -60.0)}[run]
+        traj = cl.integrate_classical(sy.DiamagneticSystem.scaled(eps),
+                                      cl.launch_from_nucleus(theta), duration, tol=1e-10)
+        planes = [cl.SectionPlane(1, 0.0, 1), cl.SectionPlane(0, 0.0, -1)]
+        assert traj.states[0, 1] == 0.0  # the launch sample lies on the plane nu = 0
+    for plane in planes:
+        pts = cl.poincare_section(traj, plane)
+        ref = _brentq_section(traj, plane)
+        assert len(ref) >= 10
+        assert pts.shape == ref.shape
+        np.testing.assert_allclose(pts, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("plane", [dict(index=2), dict(index=-1), dict(index=0, direction=0)])
+def test_section_plane_rejects_bad_planes(plane):
+    with pytest.raises(DomainError):
+        cl.SectionPlane(**plane)
+
+
+def test_tau_at_physical_time_inverts_the_channel():
+    traj = cl.integrate_classical(sy.DiamagneticSystem.scaled(-0.15),
+                                  cl.launch_from_nucleus(0.5), 400.0, tol=1e-10)
+    t_phys = np.random.default_rng(5).uniform(0.0, traj.physical_time[-1], 300)
+    taus = traj.tau_at_physical_time(t_phys)
+    assert np.all(np.diff(taus[np.argsort(t_phys)]) > 0)
+    np.testing.assert_allclose(traj.at(taus)[:, 4], t_phys, rtol=1e-14, atol=0)
+    # each sample's own physical time maps to its own rescaled time
+    np.testing.assert_array_equal(traj.tau_at_physical_time(traj.physical_time), traj.times)
+    for bad in (-3.0, traj.physical_time[-1] + 1.0, math.nan):  # nan: no bracket converges
+        with pytest.raises(DomainError):
+            traj.tau_at_physical_time([1.0, bad])
+
+
 _coord = st.floats(-2.0, 2.0, allow_nan=False)
 _state = st.tuples(_coord, _coord, _coord, _coord).map(np.array)
 _eps = st.floats(-1.0, -0.1)

@@ -7,7 +7,7 @@ import pytest
 from pilotwave import cli
 from pilotwave import svgplot
 from pilotwave.config import build_system, load_scenario, validate_scenario
-from pilotwave.errors import ConfigError
+from pilotwave.errors import ConfigError, DomainError
 from pilotwave.runner import compare_report, run_scenario
 
 
@@ -41,6 +41,13 @@ def test_minimal_classical_scenario(tmp_path):
     names = {f["path"] for f in manifest.files}
     assert {"trajectory.csv", "boundary.csv", "diagnostics.json"} <= names
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_bad_section_plane_rejected_before_the_run(tmp_path):
+    cfg = _write(tmp_path / "c.json", _classical_doc(section={"index": 2}))
+    with pytest.raises(DomainError):
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_determinism_identical_checksums(tmp_path):
