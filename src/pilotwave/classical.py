@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, truediv
 
 import numpy as np
 from scipy.optimize.elementwise import find_root
@@ -174,16 +174,19 @@ class Trajectory:
     def tau_at_physical_time(self, t_phys) -> np.ndarray:
         """Invert the accumulated physical-time channel on the dense output.
 
-        A forward run's channel is strictly increasing (dt = 2r dtau): each
-        time in its range has one rescaled time, all found in one root solve.
+        The channel is strictly monotone (dt = 2r dtau), increasing on a
+        forward run and decreasing on a backward one: each time in its range
+        has one rescaled time, all found in one root solve.
         """
         if self.physical_time is None:
             raise DomainError("trajectory carries no physical-time channel")
         t_phys = np.atleast_1d(np.asarray(t_phys, dtype=float))
         pt = self.physical_time
-        if np.any((t_phys < pt[0]) | (t_phys > pt[-1])):
+        sign = 1.0 if pt[-1] >= pt[0] else -1.0
+        key, wanted = sign * pt, sign * t_phys  # both increasing along the run
+        if np.any((wanted < key[0]) | (wanted > key[-1])):
             raise DomainError(f"physical times outside the run's [{pt[0]}, {pt[-1]}]")
-        k = np.clip(np.searchsorted(pt, t_phys), 1, pt.size - 1)
+        k = np.clip(np.searchsorted(key, wanted), 1, pt.size - 1)
         return _roots(lambda tau, tp: self.at(tau)[:, 4] - tp,
                       self.times[k - 1], self.times[k], t_phys)
 
@@ -258,13 +261,15 @@ def _stiffness(system):
 
 
 def _solvable_rhs(system):
-    """Hamilton's equations (q', p') = (p/m, -k q), component style."""
-    m = system.constants.mass
+    """Hamilton's equations (q', p') = (p/m, -k q), component style.
+
+    Two `map`s over precomputed per-axis tuples: no per-call comprehension.
+    """
     d = system.dimension
-    k = _stiffness(system)
+    masses, forces = (system.constants.mass,) * d, tuple(-k for k in _stiffness(system))
 
     def rhs(t, y):
-        return [y[d + i] / m for i in range(d)] + [-k[i] * y[i] for i in range(d)]
+        return [*map(truediv, y[d:2 * d], masses), *map(mul, forces, y)]
 
     return rhs
 

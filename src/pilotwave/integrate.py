@@ -190,8 +190,8 @@ def _flushed(fun, rtol, atol):
     return flushed
 
 
-def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, t_eval=None,
-              dense_output=False, events=None, max_step=np.inf) -> OdeResult:
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, events=None,
+              max_step=np.inf) -> OdeResult:
     """Integrate dy/dt = fun(t, y) over t_span with DOP853; scipy's semantics.
 
     Events follow scipy: `direction` selects the crossings, a `terminal`
@@ -205,8 +205,6 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, t_eval=None,
     component is nonzero but below 1e-100 of its error scale atol + rtol |y|:
     that run sees every such component as 0, and `nfev` counts it alone.
     """
-    if method != "DOP853":
-        raise DomainError(f"solve_ivp integrates with DOP853 only, not {method!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     y0 = np.array(y0, dtype=float)
     events = list(events or [])

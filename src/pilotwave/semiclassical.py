@@ -3,9 +3,9 @@
 The time-domain propagator sums the classical paths from x1 to x2 in a fixed
 time, weighted by the square root of the path density 1/|dx2/dp0| and
 dephased by pi/2 per conjugate point.  The energy-domain Green function sums
-constant-energy paths with amplitude 1/sqrt(|v1 v2|), a pi phase per hard
-wall bounce and pi/2 per smooth turning point.  Both are exact for quadratic
-actions, which the tests exploit.
+constant-energy paths, the images of x2 (method of images), with amplitude
+1/sqrt(|v1 v2|), a pi phase per hard wall bounce and pi/2 per smooth turning
+point.  Both are exact for quadratic actions, which the tests exploit.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ __all__ = [
 class ClassicalAction:
     """One classical path's action data.
 
-    kind is "time" for R(x2, x1; dt) or "energy" for S(x2, x1; E); stability
-    holds the second-derivative weight entering the amplitude
-    (-d2R/dx2 dx1 in the time domain, 1/(v1 v2) in the energy domain).
+    kind is "time" for R(x2, x1; dt) or "energy" for S(x2, x1; E), and value
+    is that action (|S| at complex energy); stability holds the weight
+    entering the amplitude (-d2R/dx2 dx1 in the time domain, 1/sqrt(v1 v2)
+    in the energy domain).
     """
 
     kind: str
@@ -154,61 +155,34 @@ def exact_propagator_1d(system: SolvableSystem, x1: float, x2: float, dt: float)
     raise DomainError("no closed-form propagator for this system")
 
 
-def _box_paths(L: float, x1: float, x2: float, max_bounces: int):
-    """Reflected-ray paths from x1 to x2 in [0, L]: (length, bounces) pairs."""
-    out = []
-    for d0 in (+1.0, -1.0):
-        pos, d, length, bounces = x1, d0, 0.0, 0
-        while bounces <= max_bounces:
-            wall = L if d > 0 else 0.0
-            lo, hi = min(pos, wall), max(pos, wall)
-            if lo < x2 < hi or (x2 == pos and length > 0.0):
-                out.append((length + abs(x2 - pos), bounces))
-            length += abs(wall - pos)
-            pos, d = wall, -d
-            bounces += 1
-    out.sort()
-    return out
+def _image_paths(s1: float, s2: float, width: float, max_reflections: int):
+    """Paths from s1 to s2 in (0, width) reflecting at 0 and width: (measures, reflections).
 
-
-def _harmonic_energy_paths(system, x1, x2, energy, max_turns: int):
-    """Constant-energy oscillator paths: (action, turning reflections)."""
-    m = system.constants.mass
-    w = system.omegas[0]
-    amp = math.sqrt(2.0 * energy / (m * w * w))
-    if abs(x1) >= amp or abs(x2) >= amp:
-        raise TurningPointError("endpoint at or beyond a turning point")
-
-    def antideriv(x):
-        # integral of p(x) dx from 0 to x at this energy
-        return 0.5 * m * w * (x * math.sqrt(amp * amp - x * x) + amp * amp * math.asin(x / amp))
-
-    edge = antideriv(amp)  # action from centre to a turning point
-
-    out = []
-    for d0 in (+1.0, -1.0):
-        pos, d, action, turns = x1, d0, 0.0, 0
-        while turns <= max_turns:
-            target = amp if d > 0 else -amp
-            lo, hi = min(pos, target), max(pos, target)
-            if lo < x2 < hi or (x2 == pos and action > 0.0):
-                out.append((action + abs(antideriv(x2) - antideriv(pos)), turns))
-            action += abs((edge if d > 0 else -edge) - antideriv(pos))
-            pos, d = target, -d
-            turns += 1
-    out.sort()
-    return out
+    Unfolded, a path runs straight from s1 to an image of s2 (the method of
+    images): the image in (n width, (n + 1) width) is n width + s2 for even n
+    and (n + 1) width - s2 for odd n, and the path crosses |n| multiples of
+    width, one reflection each.  Every count but 0 has two images, one per
+    launch direction.  Sorted by measure |image - s1|, then reflections.
+    """
+    n = np.arange(-max_reflections, max_reflections + 1)
+    measure = np.abs(np.where(n % 2 == 0, n * width + s2, (n + 1) * width - s2) - s1)
+    order = np.lexsort((np.abs(n), measure))
+    return measure[order], np.abs(n)[order]
 
 
 def semiclassical_green_1d(system: SolvableSystem, x1: float, x2: float, energy,
                            max_bounces: int = 40) -> PropagatorValue:
     """Energy-domain Green function G(x2, x1; E) as a sum over fixed-E paths.
 
-    Paths bounce between hard walls (pi phase each) or smooth turning points
-    (pi/2 each), truncated at `max_bounces` reflections.  Box and free
-    systems accept complex energy (Im E > 0 damps long paths so the
-    truncated sum converges to the exact resolvent); the oscillator path sum
-    needs real energy.
+    The paths are the images of x2 (`_image_paths`), truncated at
+    `max_bounces` reflections: straight flights between hard walls for the
+    box (pi phase each; the free particle has one path), and for the
+    oscillator, in the unfolded action s(x) from the left turning point,
+    flights between turning points (pi/2 each).  Each path adds
+    weight / (i hbar) exp(i S / hbar - i k phi), with weight m / sqrt(p1 p2).
+    Box and free systems accept complex energy (Im E > 0 damps long paths
+    so the truncated sum converges to the exact resolvent); the oscillator
+    path sum needs real energy.
     """
     if system.dimension != 1:
         raise DomainError("semiclassical_green_1d is one dimensional")
@@ -216,53 +190,38 @@ def semiclassical_green_1d(system: SolvableSystem, x1: float, x2: float, energy,
         raise DomainError("coincident endpoints are outside the stationary-phase form")
     hbar, m = system.constants.hbar, system.constants.mass
 
-    if system.kind == "free":
+    if system.kind in ("free", "box"):
+        width, reflections = 1.0, 0  # free flight: one path, no wall, so any width
+        if system.kind == "box":
+            width, reflections = system.lengths[0], max_bounces
+            if not (0.0 < x1 < width and 0.0 < x2 < width):
+                raise DomainError("endpoints must be inside the box")
         p = cmath.sqrt(2.0 * m * complex(energy))
         if p == 0:
             raise TurningPointError("zero velocity at the endpoints")
-        s = p * abs(x2 - x1)
-        value = (1.0 / (1j * hbar)) * (m / p) * cmath.exp(1j * s / hbar)
-        path = ClassicalAction("energy", abs(s), m / p, 0)
-        return PropagatorValue(value, 1, (path,))
-
-    if system.kind == "box":
-        L = system.lengths[0]
-        if not (0.0 < x1 < L and 0.0 < x2 < L):
-            raise DomainError("endpoints must be inside the box")
-        p = cmath.sqrt(2.0 * m * complex(energy))
-        if p == 0:
-            raise TurningPointError("zero velocity at the endpoints")
-        paths = _box_paths(L, x1, x2, max_bounces)
-        total = 0.0 + 0.0j
-        records = []
-        for length, bounces in paths:
-            phase = p * length / hbar - math.pi * bounces
-            total += (1.0 / (1j * hbar)) * (m / p) * cmath.exp(1j * phase)
-            records.append(ClassicalAction("energy", length, m / p, bounces))
-        return PropagatorValue(total, len(records), tuple(records))
-
-    if system.kind == "harmonic":
+        s1, s2, scale, weight, phi = x1, x2, p, m / p, math.pi
+    elif system.kind == "harmonic":
         energy = float(np.real_if_close(energy))
         if energy <= 0:
             return PropagatorValue(0.0, 0)
         w = system.omegas[0]
-        p1 = math.sqrt(2.0 * m * (energy - 0.5 * m * w * w * x1 * x1)) \
-            if energy > 0.5 * m * w * w * x1 * x1 else 0.0
-        p2 = math.sqrt(2.0 * m * (energy - 0.5 * m * w * w * x2 * x2)) \
-            if energy > 0.5 * m * w * w * x2 * x2 else 0.0
-        if p1 == 0.0 or p2 == 0.0:
-            raise TurningPointError("zero velocity at the endpoints")
-        paths = _harmonic_energy_paths(system, x1, x2, energy, max_bounces)
-        total = 0.0 + 0.0j
-        records = []
-        amp = m / math.sqrt(p1 * p2)
-        for action, turns in paths:
-            phase = action / hbar - (math.pi / 2.0) * turns
-            total += (1.0 / (1j * hbar)) * amp * cmath.exp(1j * phase)
-            records.append(ClassicalAction("energy", action, amp, turns))
-        return PropagatorValue(total, len(records), tuple(records))
-
-    raise DomainError(f"unsupported system kind {system.kind!r}")
+        amp = math.sqrt(2.0 * energy / (m * w * w))
+        if abs(x1) >= amp or abs(x2) >= amp:
+            raise TurningPointError("endpoint at or beyond a turning point")
+        p1, p2 = (m * w * math.sqrt((amp - abs(x)) * (amp + abs(x))) for x in (x1, x2))
+        # s(x), the integral of p from the left turning point -amp to x; s(amp) = pi E / w
+        s1, s2 = (0.5 * x * p + energy / w * math.acos(-x / amp)
+                  for x, p in ((x1, p1), (x2, p2)))
+        width, reflections = math.pi * energy / w, max_bounces
+        scale, weight, phi = 1.0, m / math.sqrt(p1 * p2), math.pi / 2.0
+    else:
+        raise DomainError(f"unsupported system kind {system.kind!r}")
+    measure, k = _image_paths(s1, s2, width, reflections)
+    action = scale * measure
+    terms = weight / (1j * hbar) * np.exp(1j * (action / hbar - phi * k))
+    records = tuple(ClassicalAction("energy", abs(s), weight, n)
+                    for s, n in zip(action.tolist(), k.tolist()))
+    return PropagatorValue(complex(terms.sum()), len(records), records)
 
 
 def exact_green_1d(system: SolvableSystem, x1: float, x2: float, energy,

@@ -245,26 +245,28 @@ def test_z_reflection_symmetry():
     assert np.max(np.abs(sa - swapped)) < 1e-8
 
 
-def test_scaling_invariance_physical_vs_scaled():
-    b_field = 0.2
-    dia_p = sy.DiamagneticSystem.from_physical(-1.0 * b_field ** (2.0 / 3.0), b_field)
+@pytest.mark.parametrize("b_field", [0.05, 0.2, 1.3])
+def test_scaling_invariance_physical_vs_scaled(b_field):
+    """`scaling_map` takes an unscaled run at (E, B) onto the scaled run at eps = E B^(-2/3)."""
     rho_s, z_s = 0.5, 0.3
     p_mag = math.sqrt(2.0 * (-1.0 + 1.0 / math.hypot(rho_s, z_s) - rho_s**2 / 8.0))
     p_vec = p_mag * np.array([0.8, 0.6])
-    lam = b_field ** (-2.0 / 3.0)
-    traj_p = cl.integrate_diamagnetic_physical(
-        dia_p,
-        sy.PhaseState((rho_s * lam, z_s * lam), tuple(p_vec * b_field ** (1.0 / 3.0))),
-        30.0, tol=1e-12)
     y0 = cl.physical_to_regularized(rho_s, z_s, *p_vec)
     traj_s = cl.integrate_classical(sy.DiamagneticSystem.scaled(-1.0),
                                     sy.PhaseState(tuple(y0[:2]), tuple(y0[2:])),
                                     60.0, tol=1e-12)
-    t_phys = np.linspace(0.5, 30.0, 40)
-    taus = traj_s.tau_at_physical_time(t_phys * b_field)
-    from_scaled = cl.regularized_to_physical(traj_s.at(taus)[:, :4])[:, :2]
-    from_physical = traj_p.at(t_phys)[:, :2] * b_field ** (2.0 / 3.0)
-    assert np.max(np.linalg.norm(from_scaled - from_physical, axis=1)) < 1e-6
+    # one scaled unit of length, momentum and time, in unscaled units
+    q_unit, p_unit, t_unit = (1.0 / u for u in cl.scaling_map(1.0, 1.0, 1.0, b_field))
+    dia_p = sy.DiamagneticSystem.from_physical(-1.0 / q_unit, b_field)
+    traj_p = cl.integrate_diamagnetic_physical(
+        dia_p, sy.PhaseState((rho_s * q_unit, z_s * q_unit), tuple(p_vec * p_unit)),
+        6.0 * t_unit, tol=1e-12)
+    t_unscaled = np.linspace(0.1, 6.0, 40) * t_unit
+    states = traj_p.at(t_unscaled)
+    q, p, t = cl.scaling_map(states[:, :2], states[:, 2:], t_unscaled, b_field)
+    from_scaled = cl.regularized_to_physical(traj_s.at(traj_s.tau_at_physical_time(t))[:, :4])
+    assert np.max(np.linalg.norm(from_scaled[:, :2] - q, axis=1)) < 1e-6
+    assert np.max(np.linalg.norm(from_scaled[:, 2:] - p, axis=1)) < 1e-6
 
 
 def test_trajectory_csv_headers(tmp_path, ho1d):
@@ -403,6 +405,21 @@ def test_tau_at_physical_time_inverts_the_channel():
     for bad in (-3.0, traj.physical_time[-1] + 1.0, math.nan):  # nan: no bracket converges
         with pytest.raises(DomainError):
             traj.tau_at_physical_time([1.0, bad])
+
+
+def test_tau_at_physical_time_on_a_backward_run():
+    """A backward run's channel falls from 0; the lookup applies its sign."""
+    traj = cl.integrate_classical(sy.DiamagneticSystem.scaled(-1.0),
+                                  cl.launch_from_nucleus(0.6), -20.0, tol=1e-10)
+    t_phys = np.random.default_rng(5).uniform(traj.physical_time[-1], 0.0, 100)
+    t_phys[0] = -1.0
+    taus = traj.tau_at_physical_time(t_phys)
+    assert np.all(np.diff(taus[np.argsort(t_phys)]) > 0)
+    np.testing.assert_allclose(traj.at(taus)[:, 4], t_phys, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(traj.tau_at_physical_time(traj.physical_time), traj.times)
+    for bad in (1.0, traj.physical_time[-1] - 1.0, math.nan):
+        with pytest.raises(DomainError):
+            traj.tau_at_physical_time([-1.0, bad])
 
 
 _coord = st.floats(-2.0, 2.0, allow_nan=False)

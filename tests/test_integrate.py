@@ -154,11 +154,6 @@ def test_right_hand_side_exception_is_reraised():
         solve_ivp(rhs, (0.0, 1.0), (0.0,), rtol=1e-6, atol=1e-6)
 
 
-def test_other_methods_are_refused():
-    with pytest.raises(DomainError):
-        solve_ivp(lambda t, y: y, (0.0, 1.0), (1.0,), method="RK45", rtol=TOL, atol=TOL)
-
-
 def test_finished_runs_keep_nothing_alive():
     """The compiled stepper keeps a reference to every callback it is handed."""
     class Rhs:

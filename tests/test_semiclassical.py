@@ -225,3 +225,110 @@ def test_green_harmonic_resummed_matches_resolvent():
         errors.append(abs(val - ref) / abs(ref))
         assert errors[-1] < 0.05
     assert errors[-1] < errors[0]  # stationary-phase error decays with action
+
+
+def _walked_box_paths(L, x1, x2, max_bounces):
+    """Reference: rays walked wall to wall, (length, bounces), as before `_image_paths`."""
+    out = []
+    for d0 in (+1.0, -1.0):
+        pos, d, length, bounces = x1, d0, 0.0, 0
+        while bounces <= max_bounces:
+            wall = L if d > 0 else 0.0
+            lo, hi = min(pos, wall), max(pos, wall)
+            if lo < x2 < hi or (x2 == pos and length > 0.0):
+                out.append((length + abs(x2 - pos), bounces))
+            length += abs(wall - pos)
+            pos, d = wall, -d
+            bounces += 1
+    out.sort()
+    return out
+
+
+def _walked_harmonic_paths(system, x1, x2, energy, max_turns):
+    """Reference: paths walked between turning points, (action, turns), as before `_image_paths`."""
+    m = system.constants.mass
+    w = system.omegas[0]
+    amp = math.sqrt(2.0 * energy / (m * w * w))
+
+    def antideriv(x):
+        return 0.5 * m * w * (x * math.sqrt(amp * amp - x * x) + amp * amp * math.asin(x / amp))
+
+    edge = antideriv(amp)
+    out = []
+    for d0 in (+1.0, -1.0):
+        pos, d, action, turns = x1, d0, 0.0, 0
+        while turns <= max_turns:
+            target = amp if d > 0 else -amp
+            lo, hi = min(pos, target), max(pos, target)
+            if lo < x2 < hi or (x2 == pos and action > 0.0):
+                out.append((action + abs(antideriv(x2) - antideriv(pos)), turns))
+            action += abs((edge if d > 0 else -edge) - antideriv(pos))
+            pos, d = target, -d
+            turns += 1
+    out.sort()
+    return out
+
+
+def _walked_green(system, paths, p1, p2, action_of, phi):
+    """Reference: the per-path sum over walked paths, and the roundoff of its phases.
+
+    Each phase S / hbar is good to a few ulps, so a path sum is good to about
+    eps sum |term| |S|: at real energy and 60 bounces that is near 1e-12 of
+    the sum, and a 40-digit sum differs from either implementation by as much.
+    """
+    amp = system.constants.mass / cmath.sqrt(p1 * p2)
+    terms = [(1.0 / 1j) * amp * cmath.exp(1j * (action_of(s) - phi * k)) for s, k in paths]
+    roundoff = 4.0 * np.finfo(float).eps * sum(abs(t * action_of(s))
+                                                for t, (s, _) in zip(terms, paths))
+    return sum(terms), roundoff
+
+
+_BOX_CASES = [(L, a * L, b * L, e) for L in (1.0, 2.3) for a, b in ((0.23, 0.61), (0.7, 0.2))
+              for e in (40.0, 200.0 + 12.0j)]
+_HARMONIC_CASES = [(e, x1, x2) for e in (2.8, 5.3) for x1, x2 in ((0.3, 1.1), (-0.9, 0.4))]
+
+
+@pytest.mark.parametrize("L, x1, x2, energy", _BOX_CASES)
+def test_box_images_match_walked_paths(L, x1, x2, energy):
+    box = sy.box_1d(L)
+    p = cmath.sqrt(2.0 * energy)
+    for n in range(61):
+        walked = _walked_box_paths(L, x1, x2, n)
+        lengths, bounces = sc._image_paths(x1, x2, L, n)
+        assert bounces.tolist() == [k for _, k in walked]
+        np.testing.assert_allclose(lengths, [s for s, _ in walked], rtol=1e-12, atol=0)
+        g = sc.semiclassical_green_1d(box, x1, x2, energy, max_bounces=n)
+        assert g.contributing_paths == 1 + 2 * n
+        assert [r.conjugate_points for r in g.paths] == bounces.tolist()
+        np.testing.assert_allclose([r.value for r in g.paths], abs(p) * lengths,
+                                   rtol=1e-12, atol=0)
+        ref, roundoff = _walked_green(box, walked, p, p, lambda s: p * s, math.pi)
+        assert abs(g.value - ref) <= 1e-12 * abs(ref) + roundoff
+
+
+@pytest.mark.parametrize("energy, x1, x2", _HARMONIC_CASES)
+def test_harmonic_images_match_walked_paths(energy, x1, x2):
+    ho = sy.harmonic(1.0)
+    p1, p2 = (math.sqrt(2.0 * energy - x * x) for x in (x1, x2))
+    for n in range(8):
+        walked = _walked_harmonic_paths(ho, x1, x2, energy, n)
+        g = sc.semiclassical_green_1d(ho, x1, x2, energy, max_bounces=n)
+        assert g.contributing_paths == 1 + 2 * n
+        assert [r.conjugate_points for r in g.paths] == [k for _, k in walked]
+        np.testing.assert_allclose([r.value for r in g.paths], [s for s, _ in walked],
+                                   rtol=1e-12, atol=0)
+        ref, roundoff = _walked_green(ho, walked, p1, p2, lambda s: s, math.pi / 2.0)
+        assert abs(g.value - ref) <= 1e-12 * abs(ref) + roundoff
+
+
+@pytest.mark.parametrize("system, x1, x2, energy, phi", [
+    (sy.free_particle(), -0.7, 0.4, 5.5, math.pi),
+    (sy.box_1d(1.3), 0.2, 0.9, 40.0, math.pi),
+    (sy.harmonic(1.3), 0.3, -0.8, 5.3, math.pi / 2.0),
+])
+def test_energy_records_carry_the_action(system, x1, x2, energy, phi):
+    """At real energy the Green function is the records' sum with S = value."""
+    g = sc.semiclassical_green_1d(system, x1, x2, energy, max_bounces=5)
+    rebuilt = sum(r.stability / 1j * cmath.exp(1j * (r.value - phi * r.conjugate_points))
+                  for r in g.paths)
+    assert abs(g.value - rebuilt) <= 1e-12 * abs(g.value)
