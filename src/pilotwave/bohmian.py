@@ -233,7 +233,7 @@ def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9) -> Bohm
     node_event.terminal = True
     span = abs(t1 - t0)
     res = solve_ivp(partial(_guidance_rhs, sup), (t0, t1), x0, rtol=tol, atol=tol,
-                    dense_output=True, events=[node_event],
+                    dense_output=True, events=node_event,
                     max_step=span / 32 if span > 0 else np.inf)
     node_encounters = [{"t": float(t), "x": y.tolist(), "rho": float(_guidance(sup, y, t)[1])}
                        for t, y in zip(res.t_events[0], res.y_events[0])]
@@ -330,7 +330,7 @@ def bohmian_lyapunov(
     node_event.terminal = True
     z0 = np.concatenate([x0, np.full(d, 1.0 / math.sqrt(d)), [0.0]])
     res = solve_ivp(_tangent_rhs(d, field), (t0, t0 + horizon), z0, rtol=tol, atol=tol,
-                    events=[node_event])
+                    events=node_event)
     elapsed = float(res.t[-1]) - t0
     value = float(res.y[-1, -1]) / elapsed if elapsed > 0 else 0.0
     return LyapunovEstimate(value, elapsed, res.status == 1)

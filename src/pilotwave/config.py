@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
 from .quantum import Superposition, superposition_from_dict
-from .systems import DiamagneticSystem, SolvableSystem, SystemConstants
+from .systems import system_from_dict
 
 __all__ = ["Scenario", "load_scenario", "build_system", "build_state", "SCHEMA_VERSION"]
 
@@ -142,6 +142,10 @@ def validate_scenario(doc: dict, source: str = "config") -> Scenario:
     if kind in ("classical", "trace") and "system" not in doc:
         raise ConfigError("system", f"required for kind {kind!r}")
     run = _validate_block("run", doc["run"], _RUN_SCHEMAS[kind])
+    if kind == "bohmian":
+        run["x0"] = [_check_type(f"run.x0[{i}]", v, float) for i, v in enumerate(run["x0"])]
+    if kind == "ensemble" and run["n"] < 1:
+        raise ConfigError("run.n", "an ensemble needs at least one member")
     tolerances = [v for k, v in run.items() if k in ("tol", "gamma", "match_tol") and v is not None]
     if any(t <= 0 for t in tolerances):
         raise ConfigError("run", "tolerances must be positive")
@@ -169,37 +173,10 @@ def load_scenario(path) -> Scenario:
 
 def build_system(spec: dict, path: str = "system"):
     """Instantiate a system description block."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(path, "system needs a 'kind' field")
-    kind = spec["kind"]
-    if kind == "diamagnetic":
-        allowed = {"kind", "epsilon", "energy", "field_strength"}
-        for key in spec:
-            if key not in allowed:
-                raise ConfigError(f"{path}.{key}", "unknown field")
-        if "epsilon" in spec:
-            return DiamagneticSystem.scaled(float(spec["epsilon"]))
-        if "energy" in spec and "field_strength" in spec:
-            return DiamagneticSystem.from_physical(float(spec["energy"]),
-                                                   float(spec["field_strength"]))
-        raise ConfigError(path, "diamagnetic needs epsilon or (energy, field_strength)")
-    if kind in ("free", "box", "harmonic"):
-        allowed = {"kind", "hbar", "mass", "dimension", "lengths", "omegas"}
-        for key in spec:
-            if key not in allowed:
-                raise ConfigError(f"{path}.{key}", "unknown field")
-        try:
-            constants = SystemConstants(
-                hbar=float(spec.get("hbar", 1.0)),
-                mass=float(spec.get("mass", 1.0)),
-                dimension=int(spec.get("dimension", 1)),
-            )
-            return SolvableSystem(kind, constants,
-                                  lengths=tuple(spec.get("lengths", ())),
-                                  omegas=tuple(spec.get("omegas", ())))
-        except DomainError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown system kind {kind!r}")
+    try:
+        return system_from_dict(spec)
+    except DomainError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def build_state(spec: dict) -> Superposition:
@@ -208,5 +185,5 @@ def build_state(spec: dict) -> Superposition:
         raise ConfigError("state", "state needs 'system' and 'terms'")
     try:
         return superposition_from_dict(spec)
-    except (KeyError, TypeError, DomainError) as exc:
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise ConfigError("state", f"malformed state spec: {exc}") from exc

@@ -166,12 +166,7 @@ class OdeResult:
     t_events: list | None
     y_events: list | None
     status: int
-    message: str
     nfev: int
-
-    @property
-    def success(self) -> bool:
-        return self.status >= 0
 
 
 def _crossed(g_old, g_new, direction) -> bool:
@@ -194,23 +189,22 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, e
               max_step=np.inf) -> OdeResult:
     """Integrate dy/dt = fun(t, y) over t_span with DOP853; scipy's semantics.
 
-    Events follow scipy: `direction` selects the crossings, a `terminal`
-    event ends the run at its first root, and roots are refined by `brentq`
-    on the dense output.  With `t_eval` the result holds the samples at those
-    times, up to where the run ended; otherwise it holds every accepted step.
+    `events` is one function, scipy's single-callable form: `direction` picks
+    its crossings, a `terminal` event ends the run at its first root, and
+    roots are refined by `brentq` on the dense output.  With `t_eval` the
+    result holds those samples up to where the run ended, else every step.
     A run the stepper ends early (too many steps, a step too small, a problem
     that looks stiff) raises IntegrationError carrying the steps so far; so
-    does, re-raised, an exception from `fun` or an event.  A step too small
+    does, re-raised, an exception from `fun` or the event.  A step too small
     is met by one more run if, at the last accepted state, some derivative
     component is nonzero but below 1e-100 of its error scale atol + rtol |y|:
     that run sees every such component as 0, and `nfev` counts it alone.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     y0 = np.array(y0, dtype=float)
-    events = list(events or [])
-    directions = [getattr(e, "direction", 0.0) for e in events]
-    terminal = [bool(getattr(e, "terminal", False)) for e in events]
-    ts, ys, hits, g, errors = [], [], [], [], []
+    direction = getattr(events, "direction", 0.0)
+    terminal = bool(getattr(events, "terminal", False))
+    ts, ys, hits, g, errors = [], [], [], [], []  # hits: steps whose end crossed the event
     calls = 0
 
     def rhs(t, y):
@@ -226,19 +220,16 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, e
         y = y.tolist()
         ts.append(t)
         ys.append(y)
-        if not events:
+        if events is None:
             return 0
         try:
-            g_new = [e(t, y) for e in events]
+            g.append(events(t, y))
         except Exception as exc:
             errors.append(exc)
             return -1
-        active = [i for i in range(len(events)) if g and _crossed(g[i], g_new[i], directions[i])]
-        g[:] = g_new
-        if active:
-            hits.append((len(ts) - 2, active))
-            if any(terminal[i] for i in active):
-                return -1
+        if len(g) > 1 and _crossed(g[-2], g[-1], direction):
+            hits.append(len(ts) - 2)
+            return -1 if terminal else 0
         return 0
 
     if t1 == t0:
@@ -264,33 +255,24 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, e
                                    partial=(np.array(ts), np.array(ys)))
 
     times, states = np.array(ts), np.array(ys).T
-    status = int(bool(hits) and any(terminal[i] for i in hits[-1][1]))
+    status = int(terminal and bool(hits))
     if not status:
         times[-1] = t1  # where the stepper lands, up to its last bit
     dense = DenseOutput(fun, times, states)
-    sign = 1.0 if t1 >= t0 else -1.0
     t_events = y_events = None
-    if events:
-        t_events, y_events = [[] for _ in events], [[] for _ in events]
-        for k, active in hits:
-            found = sorted(((brentq(lambda t, e=events[i]: e(t, dense(t)), times[k], times[k + 1],
-                                    xtol=_ROOT_TOL, rtol=_ROOT_TOL), i) for i in active),
-                           key=lambda root: sign * root[0])
-            if any(terminal[i] for i in active):  # the last step; it ends at a terminal root
-                found = found[:next(n for n, (_, i) in enumerate(found) if terminal[i]) + 1]
-            for root, i in found:
-                t_events[i].append(root)
-                y_events[i].append(dense(root))
-        t_events = [np.array(te) for te in t_events]
-        y_events = [np.array(ye).reshape(-1, y0.size) for ye in y_events]
+    if events is not None:
+        roots = np.array([brentq(lambda t: events(t, dense(t)), times[k], times[k + 1],
+                                 xtol=_ROOT_TOL, rtol=_ROOT_TOL) for k in hits])
+        # one query for every root, made only if there is one: a query builds the dense output
+        t_events, y_events = [roots], [dense(roots).T if hits else np.empty((0, y0.size))]
     if status:
-        dense.end = found[-1][0]
-        times = np.append(times[:-1], found[-1][0])
-        states = np.column_stack([states[:, :-1], y_events[found[-1][1]][-1]])
+        dense.end = roots[-1]
+        times = np.append(times[:-1], roots[-1])
+        states = np.column_stack([states[:, :-1], y_events[0][-1]])
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
+        sign = 1.0 if t1 >= t0 else -1.0
         times = t_eval[sign * t_eval <= sign * times[-1]]
         states = dense(times)
-    message = "A termination event occurred." if status else "The run reached the end of t_span."
     return OdeResult(times, states, dense if dense_output else None, t_events, y_events,
-                     status, message, calls + dense.nfev)
+                     status, calls + dense.nfev)

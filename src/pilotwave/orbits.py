@@ -32,6 +32,12 @@ __all__ = [
     "orbits_to_json",
 ]
 
+CLOSURE_TOL = 1e-8  # how close to the nucleus a closure must return
+TOL = 1e-11  # DOP853 tolerance of every launch and orbit run
+CAPTURE_RADIUS = 0.8  # the search's close approaches lie within this of the nucleus
+MATCH_WINDOW = 0.35  # close approaches of neighbouring launches match within this in tau
+TAU_MIN = 0.05  # close approaches before this are the launch itself
+
 
 @dataclass
 class ClosedOrbit:
@@ -55,7 +61,7 @@ class ClosedOrbit:
     system: object = None
 
 
-def _close_approaches(system, theta, tau_max, tol, capture_radius, tau_min=0.05):
+def _close_approaches(system, theta, tau_max, capture_radius):
     """Integrate one launch and list close approaches (tau, R, miss L)."""
     def radial_min(t, y):
         # d(R^2)/dtau / 2 crosses zero upward at a closest approach
@@ -64,10 +70,10 @@ def _close_approaches(system, theta, tau_max, tol, capture_radius, tau_min=0.05)
     radial_min.direction = 1.0
     y0 = launch_from_nucleus(theta).as_array()
     res = solve_ivp(lambda t, y: _flow(y, system.epsilon), (0.0, tau_max), y0,
-                    rtol=tol, atol=tol, events=[radial_min])
+                    rtol=TOL, atol=TOL, events=radial_min)
     out = []
     for te, ye in zip(res.t_events[0], res.y_events[0]):
-        if te < tau_min:
+        if te < TAU_MIN:
             continue
         r = math.hypot(ye[0], ye[1])
         if r < capture_radius:
@@ -76,19 +82,19 @@ def _close_approaches(system, theta, tau_max, tol, capture_radius, tau_min=0.05)
     return out
 
 
-def _closure(launch, bracket, tau_ref, window, closure_tol):
-    """(theta, tau) of the closure in `bracket` whose close approach starts near tau_ref.
+def _closure(launch, bracket, tau_ref, closure_tol):
+    """(theta, tau, residual R) of the closure in `bracket` near tau_ref.
 
     launch(theta) lists the close approaches of one launch.  Each launch
-    follows the close approach within `window` of the last one followed, and
-    brentq pins the launch angle at which its signed miss L vanishes; a
+    follows the close approach within MATCH_WINDOW of the last one followed,
+    and brentq pins the launch angle at which its signed miss L vanishes; a
     bracket (theta, theta) only follows theta.  IntegrationError when the
     approach is lost, when L has one sign on the bracket, or when the
     closure misses the nucleus by more than closure_tol.
     """
     def approach(theta):
         nonlocal tau_ref
-        near = [a for a in launch(theta) if abs(a[0] - tau_ref) < window]
+        near = [a for a in launch(theta) if abs(a[0] - tau_ref) < MATCH_WINDOW]
         if not near:
             raise IntegrationError("lost the tracked close approach")
         best = min(near, key=lambda a: abs(a[0] - tau_ref))
@@ -104,10 +110,10 @@ def _closure(launch, bracket, tau_ref, window, closure_tol):
     tau, resid, _ = approach(theta)
     if resid > closure_tol:
         raise IntegrationError(f"closure residual {resid:.2e} above tolerance")
-    return theta, tau
+    return theta, tau, resid
 
 
-def _build_orbit(system, theta, tau_period, tol):
+def _build_orbit(system, theta, tau_period):
     """A ClosedOrbit from one DOP853 run over one closure.
 
     The run carries the path, the physical-time and action quadratures and
@@ -122,7 +128,7 @@ def _build_orbit(system, theta, tau_period, tol):
         return (*flow(t, z), *_tangent(z, eps, z[6:]))
 
     z0 = np.concatenate([launch_from_nucleus(theta).as_array(), [0.0, 0.0], np.eye(4).ravel()])
-    res = solve_ivp(rhs, (0.0, tau_period), z0, rtol=tol, atol=tol,
+    res = solve_ivp(rhs, (0.0, tau_period), z0, rtol=TOL, atol=TOL,
                     t_eval=np.linspace(0.0, tau_period, 2001))
     path, m = res.y[:4].T, res.y[6:]
     # det of the position-vs-initial-momentum block [[M02, M03], [M12, M13]] along the run
@@ -145,40 +151,39 @@ def _build_orbit(system, theta, tau_period, tol):
 def find_closed_orbits(
     system: DiamagneticSystem,
     n_angles: int = 90,
-    closure_tol: float = 1e-8,
+    closure_tol: float = CLOSURE_TOL,
     tau_max: float = 6.0,
-    capture_radius: float = 0.8,
-    tol: float = 1e-11,
-    match_window: float = 0.35,
 ):
     """Shooting search over launch angles in [0, pi/2] for nucleus closures.
 
-    Returns (orbits, diagnostics): orbits deduplicated by launch angle and
-    period, diagnostics listing brackets that failed to converge.  Orbits
-    whose period is an integer repetition of another orbit at the same
-    launch angle are dropped.
+    Returns (orbits, diagnostics): diagnostics list the brackets that failed
+    to converge.  Closures are deduplicated before any orbit is built: one
+    with the angle of a kept closure within the grid step and its tau within
+    1e-4 is the same orbit, and the one closer to the nucleus stays; one
+    whose tau is an integer multiple (2 or more) of such a closure's is a
+    repetition of it and is dropped.
     """
     if system.epsilon >= 0:
         raise DomainError("closed-orbit search needs a bound regime (epsilon < 0)")
     angles = np.linspace(0.0, math.pi / 2.0, n_angles + 1)
     grid_step = angles[1] - angles[0]
-    scan = {th: _close_approaches(system, th, tau_max, tol, capture_radius)
+    scan = {th: _close_approaches(system, th, tau_max, CAPTURE_RADIUS)
             for th in angles}
 
-    found = []  # (theta, tau_period)
+    found = []  # (theta, tau_period, residual)
     diagnostics = []
 
     # symmetric seeds: exact closures on the axis and in the z = 0 plane
     for th in (0.0, math.pi / 4.0):
-        found += [(th, tau_e) for tau_e, r_e, _ in scan.get(th, []) if r_e <= closure_tol]
+        found += [(th, tau_e, r_e) for tau_e, r_e, _ in scan.get(th, []) if r_e <= closure_tol]
 
     def launch(theta):  # brentq starts at the bracket ends, which the scan launched
         return scan[theta] if theta in scan else _close_approaches(
-            system, theta, tau_max, tol, capture_radius)
+            system, theta, tau_max, CAPTURE_RADIUS)
 
     for th_a, th_b in zip(angles[:-1], angles[1:]):
         for tau_a, r_a, miss_a in scan[th_a]:
-            match = [m for m in scan[th_b] if abs(m[0] - tau_a) < match_window]
+            match = [m for m in scan[th_b] if abs(m[0] - tau_a) < MATCH_WINDOW]
             if not match:
                 continue
             tau_b, r_b, miss_b = min(match, key=lambda m: abs(m[0] - tau_a))
@@ -186,35 +191,30 @@ def find_closed_orbits(
                 continue
             try:
                 found.append(_closure(launch, (th_a, th_b), 0.5 * (tau_a + tau_b),
-                                      match_window, closure_tol))
+                                      closure_tol))
             except IntegrationError as exc:
                 diagnostics.append({"bracket": (float(th_a), float(th_b)),
                                     "tau": float(tau_a), "reason": str(exc)})
 
-    # deduplicate: same angle within the grid step and same period within 1e-4
-    orbits = []
-    for theta, tau_p in sorted(found, key=lambda x: (x[1], x[0])):
-        orb = _build_orbit(system, theta, tau_p, tol)
-        duplicate = False
-        for kept in orbits:
-            if abs(kept.launch_angle - orb.launch_angle) < grid_step:
-                if abs(kept.period - orb.period) <= 1e-4:
-                    duplicate = True
-                    if orb.closure_residual < kept.closure_residual:
-                        orbits[orbits.index(kept)] = orb
+    kept = []
+    for theta, tau, resid in sorted(found, key=lambda x: (x[1], x[0])):
+        for n, (theta_k, tau_k, resid_k) in enumerate(kept):
+            if abs(theta_k - theta) < grid_step:
+                if abs(tau_k - tau) <= 1e-4:  # the same orbit
+                    if resid < resid_k:
+                        kept[n] = (theta, tau, resid)
                     break
-                ratio = orb.period / kept.period
+                ratio = tau / tau_k
                 if abs(ratio - round(ratio)) < 1e-6 and round(ratio) >= 2:
-                    duplicate = True  # repetition of a shorter closure
-                    break
-        if not duplicate:
-            orbits.append(orb)
+                    break  # a repetition of the shorter closure
+        else:
+            kept.append((theta, tau, resid))
+    orbits = [_build_orbit(system, theta, tau) for theta, tau, _ in kept]
     orbits.sort(key=lambda o: (o.period, o.launch_angle))
     return orbits, diagnostics
 
 
-def continue_orbit(system: DiamagneticSystem, orbit: ClosedOrbit,
-                   closure_tol: float = 1e-8, tol: float = 1e-11) -> ClosedOrbit:
+def continue_orbit(system: DiamagneticSystem, orbit: ClosedOrbit) -> ClosedOrbit:
     """Re-find `orbit` at a nearby scaled energy (same closure branch).
 
     Symmetric orbits keep their launch angle; generic orbits are re-shot with
@@ -223,10 +223,10 @@ def continue_orbit(system: DiamagneticSystem, orbit: ClosedOrbit,
     th0 = orbit.launch_angle
     symmetric = min(abs(th0 - 0.0), abs(th0 - math.pi / 4.0), abs(th0 - math.pi / 2.0)) < 1e-12
     span = 0.0 if symmetric else 0.02
-    theta, tau = _closure(
-        lambda th: _close_approaches(system, th, orbit.tau_period * 1.3, tol, 0.5),
-        (th0 - span, th0 + span), orbit.tau_period, 0.35, closure_tol)
-    return _build_orbit(system, theta, tau, tol)
+    theta, tau, _ = _closure(
+        lambda th: _close_approaches(system, th, orbit.tau_period * 1.3, 0.5),
+        (th0 - span, th0 + span), orbit.tau_period, CLOSURE_TOL)
+    return _build_orbit(system, theta, tau)
 
 
 def orbit_invariants(orbit: ClosedOrbit):

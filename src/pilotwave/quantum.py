@@ -33,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, NodeSingularityError
-from .systems import SolvableSystem, SystemConstants
+from .systems import SolvableSystem, SystemConstants, system_from_dict
 
 __all__ = [
     "EigenstateRef",
@@ -653,21 +653,9 @@ def superposition_from_dict(d: dict) -> Superposition:
     for key in d:
         if key not in ("system", "terms"):
             raise DomainError(f"unknown superposition field {key!r}")
-    sys_d = d["system"]
-    for key in sys_d:
-        if key not in ("kind", "hbar", "mass", "dimension", "lengths", "omegas"):
-            raise DomainError(f"unknown system field {key!r}")
-    constants = SystemConstants(
-        hbar=sys_d.get("hbar", 1.0),
-        mass=sys_d.get("mass", 1.0),
-        dimension=int(sys_d.get("dimension", 1)),
-    )
-    system = SolvableSystem(
-        sys_d["kind"],
-        constants,
-        lengths=tuple(sys_d.get("lengths", ())),
-        omegas=tuple(sys_d.get("omegas", ())),
-    )
+    system = system_from_dict(d["system"])
+    if not isinstance(system, SolvableSystem):
+        raise DomainError("a superposition needs a free, box or harmonic system")
     for t in d["terms"]:
         for key in t:
             if key not in ("c_re", "c_im", "n"):

@@ -124,8 +124,7 @@ def _run_classical(scn: Scenario, out: Path) -> list[Path]:
 def _run_bohmian(scn: Scenario, out: Path) -> list[Path]:
     sup = build_state(scn.state)
     run = scn.run
-    x0 = [float(v) for v in run["x0"]]
-    traj = integrate_bohmian(sup, x0, (run["t0"], run["t1"]), tol=run["tol"])
+    traj = integrate_bohmian(sup, run["x0"], (run["t0"], run["t1"]), tol=run["tol"])
     traj.to_csv(out / "trajectory.csv")
     files = [out / "trajectory.csv"]
     diagnostics = {
@@ -137,7 +136,7 @@ def _run_bohmian(scn: Scenario, out: Path) -> list[Path]:
     }
     if run["lyapunov"] is not None:
         ly = run["lyapunov"]
-        est = bohmian_lyapunov(sup, x0, ly["horizon"], t0=run["t0"])
+        est = bohmian_lyapunov(sup, run["x0"], ly["horizon"], t0=run["t0"])
         diagnostics["lyapunov"] = est.value
         diagnostics["lyapunov_horizon"] = est.horizon
         diagnostics["lyapunov_partial"] = est.partial

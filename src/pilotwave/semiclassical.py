@@ -188,6 +188,8 @@ def semiclassical_green_1d(system: SolvableSystem, x1: float, x2: float, energy,
         raise DomainError("semiclassical_green_1d is one dimensional")
     if x1 == x2:
         raise DomainError("coincident endpoints are outside the stationary-phase form")
+    if max_bounces < 0:
+        raise DomainError(f"max_bounces must be at least 0, got {max_bounces}")
     hbar, m = system.constants.hbar, system.constants.mass
 
     if system.kind in ("free", "box"):
@@ -201,7 +203,10 @@ def semiclassical_green_1d(system: SolvableSystem, x1: float, x2: float, energy,
             raise TurningPointError("zero velocity at the endpoints")
         s1, s2, scale, weight, phi = x1, x2, p, m / p, math.pi
     elif system.kind == "harmonic":
-        energy = float(np.real_if_close(energy))
+        energy = np.real_if_close(energy)
+        if np.iscomplexobj(energy):
+            raise DomainError("the oscillator path sum needs real energy")
+        energy = float(energy)
         if energy <= 0:
             return PropagatorValue(0.0, 0)
         w = system.omegas[0]

@@ -24,6 +24,7 @@ __all__ = [
     "box_2d",
     "harmonic",
     "DiamagneticSystem",
+    "system_from_dict",
 ]
 
 
@@ -203,3 +204,35 @@ class DiamagneticSystem:
     @property
     def is_physical(self) -> bool:
         return self.field_strength is not None
+
+
+_FIELDS = {"diamagnetic": {"kind", "epsilon", "energy", "field_strength"},
+           **dict.fromkeys(("free", "box", "harmonic"),
+                           {"kind", "hbar", "mass", "dimension", "lengths", "omegas"})}
+
+
+def system_from_dict(spec: dict) -> SolvableSystem | DiamagneticSystem:
+    """A system from its spec-file block.
+
+    An unknown kind or field, a value that does not convert to a number and
+    an incomplete diamagnetic block raise DomainError.
+    """
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise DomainError(f"unknown system kind {kind!r}")
+    for key in spec:
+        if key not in _FIELDS[kind]:
+            raise DomainError(f"unknown system field {key!r}")
+    try:
+        if kind != "diamagnetic":
+            constants = SystemConstants(float(spec.get("hbar", 1.0)), float(spec.get("mass", 1.0)),
+                                        int(spec.get("dimension", 1)))
+            return SolvableSystem(kind, constants, tuple(spec.get("lengths", ())),
+                                  tuple(spec.get("omegas", ())))
+        if "epsilon" in spec:
+            return DiamagneticSystem.scaled(spec["epsilon"])
+        if "energy" in spec and "field_strength" in spec:
+            return DiamagneticSystem.from_physical(spec["energy"], spec["field_strength"])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed system field: {exc}") from exc
+    raise DomainError("diamagnetic needs epsilon or (energy, field_strength)")

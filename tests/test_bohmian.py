@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import VORTEX_PAIR_RADIUS, ngon
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pilotwave import bohmian as bm
 from pilotwave import quantum as qm
@@ -253,6 +255,25 @@ def test_circulation_quantization_suite(vortex_plus, vortex_pair, ho2d_iso):
         res = bm.circulation(sup, loop, tc)
         assert res.winding == expected
         assert res.residual <= 1e-6 * quantum
+
+
+@settings(max_examples=60, deadline=None)
+@given(cx=st.floats(-1.2, 1.2), cy=st.floats(-1.2, 1.2), radius=st.floats(0.2, 2.2),
+       n=st.integers(12, 16), t=st.floats(0.0, 2.0 * math.pi))
+def test_circulation_counts_enclosed_vortices(vortex_pair, cx, cy, radius, n, t):
+    """Any loop around the pair winds once per node inside it (both nodes have charge +1)."""
+    loop = ngon((cx, cy), radius, n)  # convex, counter-clockwise
+    angle = math.pi / 2.0 + t  # the nodes rotate rigidly from the y axis
+    nodes = VORTEX_PAIR_RADIUS * np.array([[math.cos(angle), math.sin(angle)]]) * [[1.0], [-1.0]]
+    edges = np.roll(loop, -1, axis=0) - loop
+    rel = nodes[:, None, :] - loop[None, :, :]  # node relative to each vertex
+    along = np.clip(np.sum(rel * edges, axis=-1) / np.sum(edges**2, axis=-1), 0.0, 1.0)
+    gap = np.linalg.norm(rel - along[..., None] * edges, axis=-1).min(axis=1)
+    assume(gap.min() > 0.1)  # the loop keeps clear of both nodes
+    inside = np.all(edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0] > 0.0, axis=1)
+    res = bm.circulation(vortex_pair, loop, t)
+    assert res.winding == int(inside.sum())
+    assert res.residual <= 1e-6 * 2.0 * math.pi  # 2 pi hbar / m in these units
 
 
 def test_circulation_guard_band(vortex_pair):

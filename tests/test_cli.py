@@ -104,6 +104,38 @@ def test_build_system_validation():
         build_system({"kind": "pendulum"})
 
 
+def _bohmian_doc(x0=(0.3,), n=(1,)):
+    state = _box_state()
+    state["terms"][0]["n"] = list(n)
+    return {"schema": 1, "name": "bohm", "kind": "bohmian", "state": state,
+            "run": {"x0": list(x0), "t1": 1.0}}
+
+
+_MALFORMED = {
+    "classical-epsilon": {**_classical_doc(), "system": {"kind": "diamagnetic", "epsilon": "abc"}},
+    "trace-hbar": {"schema": 1, "name": "tr", "kind": "trace",
+                   "system": {"kind": "harmonic", "hbar": "x", "omegas": [1.0]},
+                   "run": {"e_min": 1.0, "e_max": 5.0, "n_grid": 50, "repetitions": 2,
+                           "gamma": 0.1}},
+    "bohmian-quantum-number": _bohmian_doc(n=["x"]),
+    "bohmian-x0": _bohmian_doc(x0=["q"]),
+    "ensemble-empty": {"schema": 1, "name": "ens", "kind": "ensemble", "state": _box_state(),
+                       "run": {"n": 0, "seed": 11, "t1": 0.4}},
+    "ensemble-negative": {"schema": 1, "name": "ens", "kind": "ensemble",
+                          "state": _box_state(), "run": {"n": -3, "seed": 11, "t1": 0.4}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_values_are_config_errors(tmp_path, capsys, case):
+    """A value of the wrong kind or range exits 2 before any data file is written."""
+    cfg = _write(tmp_path / "s.json", _MALFORMED[case])
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = _write(tmp_path / "bad.json", {"schema": 1, "kind": "classical"})
     assert cli.main(["run", bad]) == 2

@@ -141,6 +141,24 @@ def test_green_no_path_flag():
     assert g.contributing_paths == 0
 
 
+def test_green_harmonic_rejects_complex_energy():
+    """The oscillator path sum needs real energy; a complex one is a DomainError."""
+    with pytest.raises(DomainError, match="real energy"):
+        sc.semiclassical_green_1d(sy.harmonic(1.0), 0.2, 0.5, 3.0 + 0.5j)
+    real = sc.semiclassical_green_1d(sy.harmonic(1.0), 0.2, 0.5, 3.0)
+    assert sc.semiclassical_green_1d(sy.harmonic(1.0), 0.2, 0.5, 3.0 + 0j).value == real.value
+
+
+@pytest.mark.parametrize("system,energy,max_bounces", [
+    (sy.box_1d(1.0), 40.0, -1),
+    (sy.harmonic(1.0), 3.0, -2),
+])
+def test_green_rejects_negative_max_bounces(system, energy, max_bounces):
+    """A negative reflection budget is an error, not the flagged no-path zero."""
+    with pytest.raises(DomainError, match="max_bounces"):
+        sc.semiclassical_green_1d(system, 0.2, 0.5, energy, max_bounces=max_bounces)
+
+
 def test_van_vleck_rejects_bad_inputs(box1d):
     with pytest.raises(DomainError):
         sc.van_vleck_1d(sy.harmonic(1.0), 0.0, 1.0, -0.5)
