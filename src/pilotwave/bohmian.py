@@ -54,22 +54,25 @@ def _guidance(sup: Superposition, x, t):
     t is one time or one per point.  Box points are evaluated 1e-12 L inside
     the walls (`_held_inside`): trial stages of a step may poke just outside,
     and the exact flow cannot leave the domain.  One point (shape (D,)) goes
-    through `_point_guidance` in Python floats; N points through batched
-    calls of `CHUNK` points, each followed by `phase_gradient`.
+    through `_point_guidance` in Python floats; N points through
+    `_guidance_block`, `CHUNK` points at a time.
     """
-    system = sup.system
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         v, amp = _point_guidance(sup, x.tolist(), t)
         return np.array(v), amp
-    x = np.stack(_held_inside(system, x.T), axis=1)
-    d, hbar, m = system.dimension, system.constants.hbar, system.constants.mass
+    return _map_chunks(partial(_guidance_block, sup), x, t, (np.empty(x.shape), np.empty(len(x))))
 
-    def chunk(xc, tc):
-        psi, grad, _ = evaluate_wavefunction(sup, xc[:, 0] if d == 1 else xc, tc)
-        return phase_gradient(psi, grad[:, None] if d == 1 else grad, hbar) / m, np.abs(psi)
 
-    return _map_chunks(chunk, x, t, (np.empty(x.shape), np.empty(len(x))))
+def _guidance_block(sup: Superposition, x, t, v, amp):
+    """v and |psi| at the rows of x (one point each), box rows held inside, written into v and amp."""
+    system = sup.system
+    p = _held_inside(system, x.T)
+    d = system.dimension
+    psi, grad, _ = evaluate_wavefunction(sup, p[0] if d == 1 else np.transpose(p), t)
+    np.divide(phase_gradient(psi, grad[:, None] if d == 1 else grad, system.constants.hbar),
+              system.constants.mass, out=v)
+    np.abs(psi, out=amp)
 
 
 def _held_inside(system, p):
@@ -131,18 +134,12 @@ def _sampled_fields(sup: Superposition, x, t):
     bad marks exact nodes and overflow, where the polar fields are undefined.
     """
     d = sup.system.dimension
-
-    def chunk(xc, tc):
-        psi, grad, lap = evaluate_wavefunction(sup, xc[:, 0] if d == 1 else xc, tc)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rho, _, grad_sigma, q = _polar(psi, grad[:, None] if d == 1 else grad, lap,
-                                           sup.system.constants)
-        bad = (rho == 0.0) | ~np.isfinite(q) | ~np.all(np.isfinite(grad_sigma), axis=-1)
-        return rho, q, grad_sigma, bad
-
-    n = len(x)
-    return _map_chunks(chunk, x, t, (np.empty(n), np.empty(n), np.empty(x.shape),
-                                    np.empty(n, dtype=bool)))
+    psi, grad, lap = evaluate_wavefunction(sup, x[:, 0] if d == 1 else x, t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho, _, grad_sigma, q = _polar(psi, grad[:, None] if d == 1 else grad, lap,
+                                       sup.system.constants)
+    bad = (rho == 0.0) | ~np.isfinite(q) | ~np.all(np.isfinite(grad_sigma), axis=-1)
+    return rho, q, grad_sigma, bad
 
 
 def velocity_field(sup: Superposition, x, t: float):

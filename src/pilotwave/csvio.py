@@ -7,16 +7,23 @@ writes for the same rows, so checksums are stable across writers.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 __all__ = ["write_csv"]
 
 
 def write_csv(path, header, columns) -> None:
-    """Write the header row, then row i from element i of every column."""
-    cols = []
-    for c in map(np.asarray, columns):
-        cols.append(c.tolist() if c.dtype.kind in "iu" else c.astype(float, copy=False).tolist())
+    """Write the header row, then row i from element i of every column.
+
+    Each column is formatted in one `map(repr, ...)`; rows are joined from
+    them and written 8192 at a time, so memory stays bounded.
+    """
+    cols = [map(repr, c.tolist() if c.dtype.kind in "iu" else c.astype(float, copy=False).tolist())
+            for c in map(np.asarray, columns)]
+    rows = map(",".join, zip(*cols, strict=True))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*cols, strict=True))
+        while block := list(islice(rows, 8192)):
+            fh.write("\r\n".join(block) + "\r\n")

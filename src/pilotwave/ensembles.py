@@ -9,14 +9,15 @@ equation (equivariance).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .bohmian import _guidance, _node_threshold, integrate_bohmian
+from .bohmian import _guidance_block, _node_threshold, integrate_bohmian
 from .csvio import write_csv
 from .errors import DomainError, IntegrationError, PilotwaveError
-from .quantum import Superposition, _psi_batch, _psi_grid, effective_domain
+from .quantum import Superposition, _map_chunks, _psi_grid, effective_domain, evaluate_wavefunction
 
 __all__ = [
     "Ensemble",
@@ -51,7 +52,7 @@ class Ensemble:
 
 
 def _density_batch(sup: Superposition, pts: np.ndarray, t: float) -> np.ndarray:
-    return np.abs(_psi_batch(sup, pts, t)) ** 2
+    return np.abs(evaluate_wavefunction(sup, pts, t)[0]) ** 2
 
 
 def sample_quantum_equilibrium(sup: Superposition, t: float, n: int, seed: int) -> Ensemble:
@@ -119,22 +120,27 @@ def _per_member(positions: np.ndarray, sup: Superposition, t0: float, t1: float,
 def _stacked(positions: np.ndarray, sup: Superposition, t0: float, t1: float, tol: float):
     """All members in one integration with shared step control.
 
-    Only the state at t1 is kept, not one per step.  Members within 10^3
-    node thresholds are reported at their first such evaluation and get
-    zero velocity while they stay there.
+    Only the state at t1 is kept, not one per step.  Every right-hand-side
+    call writes |psi| into one buffer; v is new each call, since the solver
+    keeps the last one it was handed.  Members within 10^3 node thresholds
+    are reported at their first such evaluation and get zero velocity while
+    they stay there.
     """
     n, d = positions.shape[0], sup.system.dimension
     floor = _node_threshold(sup) * 1e3
     flagged: dict[int, dict] = {}
+    amp = np.empty(n)
+    block = partial(_guidance_block, sup)
 
     def rhs(t, y):
         pts = y.reshape(n, d)
-        v, amp = _guidance(sup, pts, t)
+        v, _ = _map_chunks(block, pts, t, (np.empty((n, d)), amp))
         bad = amp < floor
-        for idx in np.nonzero(bad)[0]:
-            flagged.setdefault(int(idx), {"member_id": int(idx), "t": float(t),
-                                          "x": pts[idx].tolist(), "rho": float(amp[idx])})
-        v[bad] = 0.0
+        if bad.any():
+            for idx in np.nonzero(bad)[0]:
+                flagged.setdefault(int(idx), {"member_id": int(idx), "t": float(t),
+                                              "x": pts[idx].tolist(), "rho": float(amp[idx])})
+            v[bad] = 0.0
         return v.reshape(-1)
 
     res = solve_ivp(rhs, (t0, t1), positions.reshape(-1), method="RK45", rtol=tol, atol=tol,

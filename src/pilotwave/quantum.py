@@ -10,14 +10,14 @@ quantity.
 `evaluate_wavefunction` reads every term from one mode ladder per box or
 oscillator axis, up to that axis's highest quantum number: one exp and one
 Hermite recurrence, or one sin/cos pair and angle addition for n theta.
-Free plane waves take one exp per term.  One point at one time, the case of
-every guidance-law step, runs the ladders in Python scalars, where numpy's
-per-call overhead would cost more than the arithmetic; arrays run them in
-numpy, `CHUNK` points per call from batched callers (`_map_chunks`).  Both
-agree with the per-term `eigenfunction` to 1e-12 of the term sizes
-sum |c_n f_n(x)|, except that near its zeros (a wall, an interior node) a
-box mode is known only to a few ulps of its largest value on every path,
-as each rounds the sine's argument.
+One point at one time, the case of every guidance-law step, runs the
+ladders in Python scalars, where numpy's per-call overhead would cost more
+than the arithmetic.  Arrays run in blocks of `CHUNK` points, each a real
+(terms, points) table per quantity times the real and imaginary parts of
+the weights c_k exp(-i E_k t / hbar).  Both agree with the per-term
+`eigenfunction` to 1e-12 of the term sizes sum |c_n f_n(x)|, except that
+near its zeros (a wall, an interior node) a box mode is known only to a few
+ulps of its largest value on every path, as each rounds the sine's argument.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DomainError, NodeSingularityError
-from .systems import SolvableSystem, SystemConstants, system_from_dict
+from .systems import SolvableSystem, SystemConstants, _number, system_from_dict
 
 __all__ = [
     "EigenstateRef",
@@ -157,11 +157,11 @@ def _box_ladder(axis, x, lib):
     if lib.any((x < 0) | (x > L)):
         raise DomainError("position outside box domain")
     theta = math.pi / L * x
-    s1, c1 = lib.sin(theta), lib.cos(theta)
-    s, c = 0.0, 1.0
+    s, c = s1, c1 = lib.sincos(theta)
     modes = [(0.0, 0.0, 0.0)]
     for a_kn, a_kn2 in rungs:
-        s, c = s * c1 + c * s1, c * c1 - s * s1
+        if len(modes) > 1:  # n = 1 is the pair itself
+            s, c = s * c1 + c * s1, c * c1 - s * s1
         modes.append((a * s, a_kn * c, a_kn2 * s))
     return modes
 
@@ -195,9 +195,19 @@ def _harmonic_ladder_plan(n_max: int, s: float):
     return _harmonic_ladder, (s, math.sqrt(s), s * math.sqrt(s), s**2, rungs)
 
 
-# what the ladders and the term sum call: Python scalars at one point, numpy for arrays
-_SCALAR = SimpleNamespace(sin=math.sin, cos=math.cos, exp=math.exp, cexp=cmath.exp, any=bool)
-_ARRAY = SimpleNamespace(sin=np.sin, cos=np.cos, exp=np.exp, cexp=np.exp, any=np.any)
+def _half_angle(theta):
+    """(sin, cos) of theta in [0, pi] from t = tan(theta / 2): within an ulp of np.sin
+    and np.cos there, and about a quarter of their time (measured with numpy 2.4)."""
+    t = np.tan(0.5 * theta)
+    t2 = t * t
+    d = 1.0 + t2
+    return 2.0 * t / d, (1.0 - t2) / d
+
+
+# what the ladders and `_point_hessian` call: Python scalars at one point, numpy for arrays
+_SCALAR = SimpleNamespace(sincos=lambda x: (math.sin(x), math.cos(x)), exp=math.exp,
+                          cexp=cmath.exp, any=bool)
+_ARRAY = SimpleNamespace(sincos=_half_angle, exp=np.exp, cexp=np.exp, any=np.any)
 
 
 def eigenfunction(system: SolvableSystem, state: EigenstateRef, x):
@@ -295,31 +305,35 @@ def evaluate_wavefunction(sup: Superposition, x, t):
     """psi, grad psi and laplacian psi of the exact time-evolved superposition.
 
     t is one time, or an array that broadcasts over the points (one time each).
-    One finite point at one time (x 0-d in 1D, shape (2,) in 2D) is summed
-    in Python scalars, anything else in numpy; both read one mode ladder per
-    axis (see the module docstring).  Batched callers pass `CHUNK` points at
-    a time (`_map_chunks`).
+    One finite point at one time (x a float or 0-d in 1D, two floats or
+    shape (2,) in 2D) is summed in Python scalars; a Python float, or a
+    list of two, at a Python-float time goes there without numpy.  Arrays
+    go through `_fill_block`, `CHUNK` points at a time.
     """
     d = sup.system.dimension
-    x = np.asarray(x, dtype=float)
-    if np.ndim(t) == 0 and x.shape == ((2,) if d == 2 else ()):
-        point = x.tolist() if d == 2 else [float(x)]
-        if math.isfinite(t) and all(map(math.isfinite, point)):
-            psi, grad, lap = _term_sum(sup, point, float(t), _SCALAR)
-            return psi, (grad[0] if d == 1 else np.array(grad)), lap
-    psi, grad, lap = _term_sum(sup, [x] if d == 1 else [x[..., 0], x[..., 1]], t, _ARRAY)
-    return psi, (grad[0] if d == 1 else np.stack(grad, axis=-1)), lap
+    if type(t) is float and (type(x) is float if d == 1 else
+                             type(x) is list and len(x) == 2 and type(x[0]) is type(x[1]) is float):
+        point = [x] if d == 1 else x
+    else:
+        x = np.asarray(x, dtype=float)
+        if np.ndim(t) or x.shape != ((2,) if d == 2 else ()):
+            return _batched(sup, x, t)
+        point, t = (x.tolist() if d == 2 else [float(x)]), float(t)
+    if math.isfinite(t) and all(map(math.isfinite, point)):
+        psi, grad, lap = _term_sum(sup, point, t)
+        return psi, (grad[0] if d == 1 else np.array(grad)), lap
+    return _batched(sup, np.asarray(point[0] if d == 1 else point, dtype=float), t)
 
 
-def _term_sum(sup: Superposition, point, t, lib):
-    """(psi, gradient components, laplacian) at `point`, one coordinate or array per axis."""
+def _term_sum(sup: Superposition, point, t: float):
+    """(psi, gradient components, laplacian) at one point of D floats, in Python scalars."""
     axes, terms = sup._plan
-    tables = [ladder(constants, xi, lib) for (ladder, constants), xi in zip(axes, point)]
+    tables = [ladder(constants, xi, _SCALAR) for (ladder, constants), xi in zip(axes, point)]
     hbar = sup.system.constants.hbar
     psi = grad = lap = None
     for c, energy, n in terms:
         if not tables:  # free: plane wave exp(i k . x)
-            v = lib.cexp(1j * sum(ki * xi for ki, xi in zip(n, point)))
+            v = cmath.exp(1j * sum(ki * xi for ki, xi in zip(n, point)))
             g, l = [1j * ki * v for ki in n], -sum(ki * ki for ki in n) * v
         elif len(tables) == 1:
             v, g, l = tables[0][n[0]]
@@ -327,8 +341,7 @@ def _term_sum(sup: Superposition, point, t, lib):
         else:
             (vx, gx, lx), (vy, gy, ly) = tables[0][n[0]], tables[1][n[1]]
             v, g, l = vx * vy, [gx * vy, vx * gy], lx * vy + vx * ly
-        # real phase first: Python and numpy round a complex / float differently
-        w = c * lib.cexp(-1j * (energy * t / hbar))
+        w = c * cmath.exp(-1j * (energy * t / hbar))
         if psi is None:
             psi, grad, lap = w * v, [w * gi for gi in g], w * l
         else:
@@ -336,6 +349,67 @@ def _term_sum(sup: Superposition, point, t, lib):
             grad = [a + w * gi for a, gi in zip(grad, g)]
             lap = lap + w * l
     return psi, grad, lap
+
+
+def _batched(sup: Superposition, x: np.ndarray, t):
+    """`evaluate_wavefunction` on an array of points, `CHUNK` points per `_fill_block`."""
+    d = sup.system.dimension
+    shape = x.shape[:x.ndim + 1 - d]  # the points: all of x in 1D, all but the last axis in 2D
+    n = math.prod(shape)
+    psi, grad, lap = _map_chunks(
+        partial(_fill_block, sup), x.reshape(n, d),
+        np.broadcast_to(t, shape).reshape(n) if np.ndim(t) else t,
+        (np.empty(n, dtype=complex), np.empty((n, d), dtype=complex), np.empty(n, dtype=complex)))
+    return psi.reshape(shape), grad.reshape(x.shape), lap.reshape(shape)
+
+
+def _fill_block(sup: Superposition, x, t, psi, grad, lap):
+    """psi, grad psi and lap psi at the rows of x, written into the given rows.
+
+    Each is sum_k w_k f_k, w_k = c_k exp(-i E_k t / hbar), f_k a real row of
+    `_term_tables`: at one time one (points, terms) x (terms, 2) product with
+    [Re w, Im w] into the real and imaginary parts of the output; with one
+    time per point a (terms, points) array of weights, summed term by term.
+    """
+    per_point = np.ndim(t) > 0
+    c = sup.coefficients[:, None] if per_point else sup.coefficients
+    w = c * np.exp(-1j * (np.multiply.outer(sup.energies, t) / sup.system.constants.hbar))
+    if sup.system.kind == "free":  # a cos row and a sin row per term
+        w = np.concatenate([w, 1j * w])
+    tables = _term_tables(sup, x)
+    if per_point:
+        for f, out in zip(tables, [psi, *grad.T, lap]):
+            np.sum(w * f, axis=0, out=out)
+        return
+    w = w.view(float).reshape(-1, 2)
+    outs = [psi.view(float).reshape(-1, 2),
+            *grad.view(float).reshape(len(x), -1, 2).transpose(1, 0, 2),
+            lap.view(float).reshape(-1, 2)]
+    for f, out in zip(tables, outs):
+        np.matmul(f.T, w, out=out)
+
+
+def _term_tables(sup: Superposition, x):
+    """Real (terms, points) tables of the value, each gradient component and the laplacian.
+
+    Box and oscillator terms read the per-axis ladders; a free plane wave
+    exp(i k.x) gives a row cos(k.x) (weight w) and a row sin(k.x) (weight i w).
+    """
+    axes, terms = sup._plan
+    if not axes:
+        k = np.array([n for _, _, n in terms])
+        phase = k @ x.T
+        cos, sin, k2 = np.cos(phase), np.sin(phase), -np.sum(k * k, axis=1)[:, None]
+        return [np.concatenate(pair) for pair in
+                [(cos, sin), *((-ki[:, None] * sin, ki[:, None] * cos) for ki in k.T),
+                 (k2 * cos, k2 * sin)]]
+    modes = [ladder(constants, xi, _ARRAY) for (ladder, constants), xi in zip(axes, x.T)]
+    per_axis = [[np.array([m[n[i]][q] for _, _, n in terms]) for q in range(3)]
+                for i, m in enumerate(modes)]
+    if len(per_axis) == 1:
+        return per_axis[0]
+    (vx, gx, lx), (vy, gy, ly) = per_axis
+    return [vx * vy, gx * vy, vx * gy, lx * vy + vx * ly]
 
 
 def _point_hessian(sup: Superposition, point, t):
@@ -366,12 +440,13 @@ def _point_hessian(sup: Superposition, point, t):
 
 # rows per block of a batched evaluation: 64 KiB per complex array, below
 # glibc's 128 KiB mmap threshold, so a block's temporaries reuse freed memory
-# instead of faulting in fresh pages, and no full-size term table exists
+# instead of faulting in fresh pages (8192 rows faulted in 12x the pages on a
+# 2D four-term state), and no full-size term table exists
 CHUNK = 4096
 
 
 def _map_chunks(fn, x, t, outs):
-    """Fill `outs` block by block of `CHUNK` rows with fn(x[rows], t[rows]).
+    """Fill `outs` block by block of `CHUNK` rows: fn(x[rows], t[rows], *out[rows]).
 
     x and every output hold one point per row; t is one time or one per
     row.  Returns outs.
@@ -379,15 +454,8 @@ def _map_chunks(fn, x, t, outs):
     per_row = np.ndim(t) > 0
     for lo in range(0, len(x), CHUNK):
         rows = slice(lo, lo + CHUNK)
-        for out, value in zip(outs, fn(x[rows], t[rows] if per_row else t)):
-            out[rows] = value
+        fn(x[rows], t[rows] if per_row else t, *(out[rows] for out in outs))
     return outs
-
-
-def _psi_batch(sup: Superposition, pts, t):
-    """psi at points pts (one per row), `CHUNK` points per evaluation."""
-    return _map_chunks(lambda xc, tc: evaluate_wavefunction(sup, xc, tc)[:1], pts, t,
-                       (np.empty(len(pts), dtype=complex),))[0]
 
 
 def _psi_grid(sup: Superposition, x, y, t: float):
@@ -427,9 +495,12 @@ def phase_gradient(psi, grad_psi, hbar: float):
     """grad sigma = hbar Im(psi* grad psi) / |psi|^2, gradients on a trailing axis.
 
     Any number of points; the guidance velocity is this over the mass.
+    On the real and imaginary parts: hbar (Re psi Im grad psi - Im psi Re grad psi)
+    / (Re^2 psi + Im^2 psi).
     """
-    psi = np.asarray(psi)[..., None]
-    return hbar * np.imag(np.conjugate(psi) * grad_psi) / np.abs(psi) ** 2
+    psi, grad_psi = np.asarray(psi)[..., None], np.asarray(grad_psi)
+    re, im = psi.real, psi.imag
+    return hbar * (re * grad_psi.imag - im * grad_psi.real) / (re * re + im * im)
 
 
 def _polar(psi, grad, lap, constants: SystemConstants):
@@ -601,7 +672,7 @@ def find_nodes(sup: Superposition, region, t: float, resolution: int = 200) -> n
     yg = np.linspace(lo[1], hi[1], ny)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     pts = np.stack([X, Y], axis=-1)
-    psi = _psi_batch(sup, pts.reshape(-1, 2), t).reshape(nx, ny)
+    psi, _, _ = evaluate_wavefunction(sup, pts, t)
     peak = np.max(np.abs(psi))
     if peak == 0.0:
         return np.empty((0, 2))
@@ -660,10 +731,12 @@ def superposition_from_dict(d: dict) -> Superposition:
         for key in t:
             if key not in ("c_re", "c_im", "n"):
                 raise DomainError(f"unknown term field {key!r}")
-    raw_norm = math.sqrt(sum(t["c_re"] ** 2 + t["c_im"] ** 2 for t in d["terms"]))
+    spec = [(complex(_number(t["c_re"], "c_re"), _number(t["c_im"], "c_im")),
+             tuple(_number(v, "quantum number", system.kind != "free") for v in t["n"]))
+            for t in d["terms"]]
+    raw_norm = math.sqrt(sum(c.real ** 2 + c.imag ** 2 for c, _ in spec))
     if abs(raw_norm - 1.0) > 1e-6:
         warnings.warn(f"superposition input norm {raw_norm:.6g} != 1; renormalizing")
-    spec = [(complex(t["c_re"], t["c_im"]), tuple(t["n"])) for t in d["terms"]]
     return Superposition.of(system, spec)
 
 

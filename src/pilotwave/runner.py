@@ -91,6 +91,7 @@ def _run_classical(scn: Scenario, out: Path) -> list[Path]:
         raise ConfigError("system", "classical scenarios run the diamagnetic system")
     run = scn.run
     section = run["section"] and SectionPlane(**run["section"])  # a bad plane fails before the run
+    out.mkdir(parents=True, exist_ok=True)
     initial = launch_from_nucleus(run["launch_angle"])
     traj = integrate_classical(system, initial, run["duration"], tol=run["tol"])
     files = []
@@ -123,6 +124,7 @@ def _run_classical(scn: Scenario, out: Path) -> list[Path]:
 
 def _run_bohmian(scn: Scenario, out: Path) -> list[Path]:
     sup = build_state(scn.state)
+    out.mkdir(parents=True, exist_ok=True)
     run = scn.run
     traj = integrate_bohmian(sup, run["x0"], (run["t0"], run["t1"]), tol=run["tol"])
     traj.to_csv(out / "trajectory.csv")
@@ -147,6 +149,7 @@ def _run_bohmian(scn: Scenario, out: Path) -> list[Path]:
 
 def _run_ensemble(scn: Scenario, out: Path) -> list[Path]:
     sup = build_state(scn.state)
+    out.mkdir(parents=True, exist_ok=True)
     run = scn.run
     ens0 = sample_quantum_equilibrium(sup, run["t0"], run["n"], run["seed"])
     ens0.to_csv(out / "ensemble_t0.csv")
@@ -178,6 +181,7 @@ def _state_orbit(sup: Superposition, energy_override):
 
 def _run_recurrence(scn: Scenario, out: Path) -> list[Path]:
     sup = build_state(scn.state)
+    out.mkdir(parents=True, exist_ok=True)
     run = scn.run
     times = np.linspace(0.0, run["t_max"], run["samples"])
     spec = recurrence_spectrum(sup, times)
@@ -204,6 +208,7 @@ def _run_trace(scn: Scenario, out: Path) -> list[Path]:
     run = scn.run
     if not hasattr(system, "kind"):
         raise ConfigError("system", "trace scenarios need a solvable system")
+    out.mkdir(parents=True, exist_ok=True)
     if system.dimension == 1 and system.kind == "harmonic":
         families = [harmonic_orbit_family(system)]
     elif system.dimension == 1 and system.kind == "box":
@@ -236,11 +241,11 @@ def run_scenario(config_path, out_dir=None) -> RunManifest:
     """Validate and execute one scenario; write outputs and manifest.json.
 
     Identical configs produce identical data-file checksums; the manifest
-    records them.
+    records them.  Each kind builds its system or state before it creates
+    the output directory, so a configuration error leaves none behind.
     """
     scn = load_scenario(config_path)
     out = Path(out_dir) if out_dir else Path(scn.output_dir or scn.name)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     if scn.kind == "compare":
         report = compare_report([Path(p) for p in scn.run["inputs"]],

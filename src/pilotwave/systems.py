@@ -9,6 +9,7 @@ the diamagnetic Kepler system is purely classical here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,11 +212,19 @@ _FIELDS = {"diamagnetic": {"kind", "epsilon", "energy", "field_strength"},
                            {"kind", "hbar", "mass", "dimension", "lengths", "omegas"})}
 
 
+def _number(value, name: str, integral: bool = False):
+    """A spec-file number as a float, or an int when integral; DomainError otherwise (bools too)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral
+                                                 else numbers.Real):
+        raise DomainError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def system_from_dict(spec: dict) -> SolvableSystem | DiamagneticSystem:
     """A system from its spec-file block.
 
-    An unknown kind or field, a value that does not convert to a number and
-    an incomplete diamagnetic block raise DomainError.
+    An unknown kind or field, a value that is not a number (an integer for
+    the dimension) and an incomplete diamagnetic block raise DomainError.
     """
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in _FIELDS:
@@ -225,14 +234,17 @@ def system_from_dict(spec: dict) -> SolvableSystem | DiamagneticSystem:
             raise DomainError(f"unknown system field {key!r}")
     try:
         if kind != "diamagnetic":
-            constants = SystemConstants(float(spec.get("hbar", 1.0)), float(spec.get("mass", 1.0)),
-                                        int(spec.get("dimension", 1)))
-            return SolvableSystem(kind, constants, tuple(spec.get("lengths", ())),
-                                  tuple(spec.get("omegas", ())))
+            constants = SystemConstants(_number(spec.get("hbar", 1.0), "hbar"),
+                                        _number(spec.get("mass", 1.0), "mass"),
+                                        _number(spec.get("dimension", 1), "dimension", True))
+            return SolvableSystem(kind, constants,
+                                  *(tuple(_number(v, key) for v in spec.get(key, ()))
+                                    for key in ("lengths", "omegas")))
         if "epsilon" in spec:
-            return DiamagneticSystem.scaled(spec["epsilon"])
+            return DiamagneticSystem.scaled(_number(spec["epsilon"], "epsilon"))
         if "energy" in spec and "field_strength" in spec:
-            return DiamagneticSystem.from_physical(spec["energy"], spec["field_strength"])
+            return DiamagneticSystem.from_physical(_number(spec["energy"], "energy"),
+                                                   _number(spec["field_strength"], "field_strength"))
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed system field: {exc}") from exc
     raise DomainError("diamagnetic needs epsilon or (energy, field_strength)")

@@ -118,6 +118,18 @@ _MALFORMED = {
                    "run": {"e_min": 1.0, "e_max": 5.0, "n_grid": 50, "repetitions": 2,
                            "gamma": 0.1}},
     "bohmian-quantum-number": _bohmian_doc(n=["x"]),
+    "bohmian-quantum-number-fraction": _bohmian_doc(n=[2.7]),
+    "bohmian-quantum-number-bool": _bohmian_doc(n=[True]),
+    "bohmian-dimension-fraction": _bohmian_doc() | {"state": _box_state() | {
+        "system": {"kind": "box", "dimension": 1.9, "lengths": [1.0]}}},
+    "bohmian-hbar-string": _bohmian_doc() | {"state": _box_state() | {
+        "system": {"kind": "box", "hbar": "2", "lengths": [1.0]}}},
+    "bohmian-length-string": _bohmian_doc() | {"state": _box_state() | {
+        "system": {"kind": "box", "lengths": ["1.0"]}}},
+    "bohmian-coefficient-bool": _bohmian_doc() | {"state": _box_state() | {
+        "terms": [{"c_re": True, "c_im": 0.0, "n": [1]}]}},
+    "classical-epsilon-bool": {**_classical_doc(), "system": {"kind": "diamagnetic",
+                                                              "epsilon": True}},
     "bohmian-x0": _bohmian_doc(x0=["q"]),
     "ensemble-empty": {"schema": 1, "name": "ens", "kind": "ensemble", "state": _box_state(),
                        "run": {"n": 0, "seed": 11, "t1": 0.4}},
@@ -128,12 +140,12 @@ _MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_values_are_config_errors(tmp_path, capsys, case):
-    """A value of the wrong kind or range exits 2 before any data file is written."""
+    """A value of the wrong kind or range exits 2 before the output directory is made."""
     cfg = _write(tmp_path / "s.json", _MALFORMED[case])
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

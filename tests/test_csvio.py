@@ -47,3 +47,15 @@ def test_write_csv_round_trips_floats(tmp_path):
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "r.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+
+def test_write_csv_matches_csv_writer_across_write_blocks(tmp_path):
+    """20,000 rows span three of the writer's 8192-row writes; the bytes still match."""
+    rng = np.random.default_rng(5)
+    n = 20_000
+    columns = [np.arange(n), rng.normal(size=n), rng.uniform(size=n) * 1e-300]
+    header = ["member_id", "x1", "x2"]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(got, header, columns)
+    _reference(want, header, columns)
+    assert got.read_bytes() == want.read_bytes()

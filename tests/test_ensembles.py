@@ -88,6 +88,29 @@ def test_members_at_loose_tol_match_tight_run(chaotic_aniso_state, seed):
     assert np.max(np.abs(loose.ensemble.positions - tight.ensemble.positions)) < 3e-5
 
 
+# final positions of fixed starts, each member in its own run (hex, so bit for bit):
+# a 1D box pair and the criterion-8 state
+MEMBER_FINALS = [
+    ("box", [0.1, 0.3, 0.5, 0.7, 0.9], (0.0, 0.5),
+     ["0x1.4d6dafdfd768ep-4", "0x1.d0813ab99d92cp-3", "0x1.4ec2ad0560dcep-2",
+      "0x1.c023c20cc0396p-2", "0x1.9aede4264dd7ap-1"]),
+    ("aniso", [[-0.4, -0.8], [0.3, 0.2], [0.9, -0.1]], (1.0, 1.5),
+     ["0x1.0e9938ad2c31dp-3", "-0x1.3d89a9f1eb96dp+0", "0x1.1ee61b79886bfp-3",
+      "0x1.26f3c727733a3p-3", "0x1.f0146ab136dcdp-1", "-0x1.b4e21949f0513p-1"]),
+]
+
+
+@pytest.mark.parametrize("state, starts, span, finals", MEMBER_FINALS)
+def test_small_ensemble_final_positions_pinned(two_mode_box_complex, chaotic_aniso_state,
+                                               state, starts, span, finals):
+    """Up to 256 members each step through the one-point guidance; their final
+    positions stay bit for bit what they were before the batched kernel changed."""
+    sup = two_mode_box_complex if state == "box" else chaotic_aniso_state
+    evo = en.evolve_ensemble(en.Ensemble(3, np.array(starts), span[0]), sup, span[1])
+    assert not evo.node_reports
+    assert [float(v).hex() for v in evo.ensemble.positions.ravel()] == finals
+
+
 def test_member_order_preserved(two_mode_box):
     ens = en.sample_quantum_equilibrium(two_mode_box, 0.0, 64, seed=8)
     evo = en.evolve_ensemble(ens, two_mode_box, 0.05, tol=1e-9)  # per-member below 257

@@ -197,6 +197,17 @@ def test_one_point_path_matches_batched_path(case):
             np.testing.assert_allclose(b[i], s, rtol=0, atol=_floored(1e-12 * size))
 
 
+def test_list_inputs_match_array_inputs(chaotic_aniso_state):
+    """Two floats in a list take the one-point path without numpy, and a list of
+    two points stays a batch: both equal the calls with arrays, bit for bit."""
+    sup = chaotic_aniso_state
+    for x in ([0.3, -0.2], [[0.3, -0.2], [0.1, 0.4]]):
+        for got, want in zip(qm.evaluate_wavefunction(sup, x, 0.7),
+                             qm.evaluate_wavefunction(sup, np.array(x), 0.7)):
+            assert type(got) is type(want)
+            np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("lengths", [(1.0,), (1.0, 1.3)])
 def test_one_point_outside_box_raises(lengths):
     d = len(lengths)
@@ -278,6 +289,53 @@ def test_batched_kernel_matches_term_by_term_sums(case, per_point):
     assert np.all(np.abs(rho_s - rho) <= rho_tol)
     assert np.all(np.max(np.abs(grad_sigma / c.mass - v_ref), axis=-1) <= v_tol)
     assert np.all(np.abs(q - q_ref) <= q_tol)
+
+
+def _large_call_states():
+    box = qm.Superposition.of(sy.box_1d(1.0), [(1.0, 1), (0.4, 2)])
+    aniso = qm.Superposition.of(sy.harmonic(1.0, math.sqrt(2.0)),
+                                [(1.0, (0, 0)), (0.9, (2, 0)), (0.8j, (1, 1)), (0.7, (0, 2))])
+    free = qm.Superposition.of(sy.free_particle(sy.SystemConstants(dimension=2)),
+                               [(1.0, (1.5, -0.5)), (0.6j, (-2.0, 0.7))])
+    return [(box, (0.0, 1.0)), (aniso, (-2.0, 2.0)), (free, (-3.0, 3.0))]
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("per_point", [False, True])
+def test_large_direct_call_equals_chunked_calls(case, per_point):
+    """A 10^5-point call equals, bit for bit, the concatenation of its `CHUNK`-point pieces."""
+    sup, (lo, hi) = _large_call_states()[case]
+    d = sup.system.dimension
+    rng = np.random.default_rng(case)
+    x = rng.uniform(lo, hi, (100_000, d))[:, 0] if d == 1 else rng.uniform(lo, hi, (100_000, d))
+    t = rng.uniform(0.0, 3.0, len(x)) if per_point else 0.7
+    whole = qm.evaluate_wavefunction(sup, x, t)
+    rows = [slice(k, k + qm.CHUNK) for k in range(0, len(x), qm.CHUNK)]
+    pieces = [qm.evaluate_wavefunction(sup, x[r], t[r] if per_point else t) for r in rows]
+    for i, got in enumerate(whole):
+        np.testing.assert_array_equal(got, np.concatenate([p[i] for p in pieces]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+                               st.floats(0.0, 2.0 * math.pi),
+                               st.tuples(*[st.floats(-1e3, 1e3)] * 4)), min_size=1, max_size=16),
+       d=st.sampled_from((1, 2)), hbar=st.sampled_from((1.0, 0.7)))
+def test_phase_gradient_real_form_matches_complex_form(rows, d, hbar):
+    """hbar (Re psi Im grad - Im psi Re grad) / (Re^2 + Im^2) against hbar Im(psi* grad) / |psi|^2.
+
+    The two round differently by a few ulps of hbar |grad psi| / |psi|, the
+    size of the terms; an exact zero of psi gives NaN on both.
+    """
+    psi = np.array([r * cmath.exp(1j * phi) for r, phi, _ in rows])
+    grad = np.array([[complex(g[0], g[1]), complex(g[2], g[3])][:d] for _, _, g in rows])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = qm.phase_gradient(psi, grad, hbar)
+        want = hbar * np.imag(np.conjugate(psi)[:, None] * grad) / np.abs(psi)[:, None] ** 2
+    node = psi == 0.0
+    assert np.all(np.isnan(got[node]))
+    size = hbar * np.abs(grad[~node]) / np.abs(psi[~node])[:, None]
+    assert np.all(np.abs(got[~node] - want[~node]) <= 1e-13 * size)
 
 
 @pytest.mark.parametrize("d", [1, 2])
