@@ -360,7 +360,8 @@ def _batched(sup: Superposition, x: np.ndarray, t):
         partial(_fill_block, sup), x.reshape(n, d),
         np.broadcast_to(t, shape).reshape(n) if np.ndim(t) else t,
         (np.empty(n, dtype=complex), np.empty((n, d), dtype=complex), np.empty(n, dtype=complex)))
-    return psi.reshape(shape), grad.reshape(x.shape), lap.reshape(shape)
+    # [()] turns the 0-d results of a single point into numpy scalars
+    return psi.reshape(shape)[()], grad.reshape(x.shape)[()], lap.reshape(shape)[()]
 
 
 def _fill_block(sup: Superposition, x, t, psi, grad, lap):

@@ -233,18 +233,19 @@ def system_from_dict(spec: dict) -> SolvableSystem | DiamagneticSystem:
         if key not in _FIELDS[kind]:
             raise DomainError(f"unknown system field {key!r}")
     try:
+        for key, value in spec.items():
+            if key != "kind":
+                for v in value if key in ("lengths", "omegas") else [value]:
+                    _number(v, key, key == "dimension")
         if kind != "diamagnetic":
-            constants = SystemConstants(_number(spec.get("hbar", 1.0), "hbar"),
-                                        _number(spec.get("mass", 1.0), "mass"),
-                                        _number(spec.get("dimension", 1), "dimension", True))
-            return SolvableSystem(kind, constants,
-                                  *(tuple(_number(v, key) for v in spec.get(key, ()))
-                                    for key in ("lengths", "omegas")))
+            constants = SystemConstants(float(spec.get("hbar", 1.0)), float(spec.get("mass", 1.0)),
+                                        int(spec.get("dimension", 1)))
+            return SolvableSystem(kind, constants, tuple(spec.get("lengths", ())),
+                                  tuple(spec.get("omegas", ())))
         if "epsilon" in spec:
-            return DiamagneticSystem.scaled(_number(spec["epsilon"], "epsilon"))
+            return DiamagneticSystem.scaled(spec["epsilon"])
         if "energy" in spec and "field_strength" in spec:
-            return DiamagneticSystem.from_physical(_number(spec["energy"], "energy"),
-                                                   _number(spec["field_strength"], "field_strength"))
+            return DiamagneticSystem.from_physical(spec["energy"], spec["field_strength"])
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed system field: {exc}") from exc
     raise DomainError("diamagnetic needs epsilon or (energy, field_strength)")
