@@ -21,13 +21,15 @@ from .csvio import write_csv
 from .errors import DomainError, NodeSingularityError, PilotwaveError
 from .integrate import DenseOutput, solve_ivp
 from .quantum import (
+    _ARRAY,
+    _SCALAR,
     NODE_THRESHOLD_FACTOR,
     Superposition,
-    _point_hessian,
+    _map_chunks,
     _polar,
+    _term_sum,
     amplitude_scale,
     evaluate_wavefunction,
-    _map_chunks,
     phase_gradient,
     wavefield_sample,
 )
@@ -59,7 +61,7 @@ def _guidance(sup: Superposition, x, t):
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        v, amp = _point_guidance(sup, x.tolist(), t)
+        v, amp = _point_guidance(sup, x.tolist(), float(t))
         return np.array(v), amp
     return _map_chunks(partial(_guidance_block, sup), x, t, (np.empty(x.shape), np.empty(len(x))))
 
@@ -86,21 +88,30 @@ def _held_inside(system, p):
 
 
 def _point_guidance(sup: Superposition, p, t: float):
-    """(v as a list, |psi|) at one point p of D floats, box points held as in `_guidance`.
+    """(v as a list, |psi|) at one point p of D floats at a float time, box points held
+    as in `_guidance`.
 
-    `phase_gradient` / m in Python floats: calling `phase_gradient` on the
-    one point instead makes a `bohmian-pointwise` round 14% slower.
+    psi and its gradient come from `_term_sum` in Python floats, and
+    `phase_gradient` / m is formed in them: one point is too small for numpy.
     """
     system = sup.system
-    p = _held_inside(system, p)
-    psi, grad, _ = evaluate_wavefunction(sup, p[0] if system.dimension == 1 else p, t)
-    grad = [grad] if system.dimension == 1 else grad.tolist()
+    psi, gx, gy, _, _, _ = _term_sum(sup, _held_inside(system, p), t, 1)
     hbar, m = system.constants.hbar, system.constants.mass
     amp = abs(psi)
     rho2 = amp * amp
     if rho2 == 0.0:  # exact node or underflow: the array formula's nan/inf
-        return (phase_gradient(psi, np.asarray(grad), hbar) / m).tolist(), amp
-    return [hbar * (psi.conjugate() * g).imag / rho2 / m for g in grad], amp
+        return (phase_gradient(psi, np.array([gx, gy][:system.dimension]), hbar) / m).tolist(), amp
+    conj = psi.conjugate()
+    vx = hbar * (conj * gx).imag / rho2 / m
+    return ([vx, hbar * (conj * gy).imag / rho2 / m] if system.dimension == 2 else [vx]), amp
+
+
+def _point_amplitude(sup: Superposition, p, t: float) -> float:
+    """|psi| at one point p of D floats (an array of shape (D,) in an event's root
+    search) at a float time, box points held as in `_guidance`."""
+    if not isinstance(p, list):
+        p = p.tolist()
+    return abs(_term_sum(sup, _held_inside(sup.system, p), t, 0)[0])
 
 
 def _guidance_rhs(sup: Superposition, t, y):
@@ -120,12 +131,15 @@ def _guidance_jacobian(sup: Superposition, p, t):
     the Hessian of psi.
     """
     system = sup.system
-    psi, grad, hess = _point_hessian(sup, _held_inside(system, p), t)
+    lib = _ARRAY if isinstance(p[0], np.ndarray) else _SCALAR
+    psi, gx, gy, hxx, hxy, hyy = _term_sum(sup, _held_inside(system, p), t, 2, lib)
     q = system.constants.hbar / system.constants.mass
     inv = 1.0 / psi
-    a = [g * inv for g in grad]
-    jac = [[q * (hij * inv - ai * aj).imag for hij, aj in zip(row, a)] for row, ai in zip(hess, a)]
-    return [q * ai.imag for ai in a], jac
+    ax, ay = gx * inv, gy * inv
+    v = [q * ax.imag, q * ay.imag]
+    jac = [[q * (hxx * inv - ax * ax).imag, q * (hxy * inv - ax * ay).imag],
+           [q * (hxy * inv - ay * ax).imag, q * (hyy * inv - ay * ay).imag]]
+    return (v, jac) if system.dimension == 2 else (v[:1], [jac[0][:1]])
 
 
 def _sampled_fields(sup: Superposition, x, t):
@@ -225,7 +239,7 @@ def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9) -> Bohm
         raise NodeSingularityError(x0, t0, amp0, "x0 inside node guard band")
 
     def node_event(t, y):
-        return _point_guidance(sup, y, t)[1] - threshold
+        return _point_amplitude(sup, y, t) - threshold
 
     node_event.terminal = True
     span = abs(t1 - t0)
@@ -322,7 +336,7 @@ def bohmian_lyapunov(
         return v, [sum(map(mul, row, u)) for row in jac]
 
     def node_event(t, z):
-        return _point_guidance(sup, z[:d], t)[1] - threshold
+        return _point_amplitude(sup, z[:d], t) - threshold
 
     node_event.terminal = True
     z0 = np.concatenate([x0, np.full(d, 1.0 / math.sqrt(d)), [0.0]])

@@ -64,7 +64,7 @@ def main(argv=None) -> int:
             print(f"wrote {out}")
             return EXIT_OK
         if args.command == "compare":
-            report = compare_report(args.manifests)
+            report = compare_report(args.manifests, base=args.out)
             if args.out:
                 write_report(report, Path(args.out))
             print(render_report_text(report))

@@ -11,8 +11,9 @@ quantity.
 oscillator axis, up to that axis's highest quantum number: one exp and one
 Hermite recurrence, or one sin/cos pair and angle addition for n theta.
 One point at one time, the case of every guidance-law step, runs the
-ladders in Python scalars, where numpy's per-call overhead would cost more
-than the arithmetic.  Arrays run in blocks of `CHUNK` points, each a real
+ladders in Python scalars (`_term_sum`, which the guidance flow calls for
+just what it reads), where numpy's per-call overhead would cost more than
+the arithmetic.  Arrays run in blocks of `CHUNK` points, each a real
 (terms, points) table per quantity times the real and imaginary parts of
 the weights c_k exp(-i E_k t / hbar).  Both agree with the per-term
 `eigenfunction` to 1e-12 of the term sizes sum |c_n f_n(x)|, except that
@@ -147,44 +148,47 @@ def _harmonic_axis(n: int, omega: float, constants: SystemConstants, x: np.ndarr
     return value, grad, lap
 
 
-def _box_ladder(axis, x, lib):
+def _box_ladder(axis, x, lib, order=2):
     """(value, d/dx, d2/dx2) of the box modes n = 0..n_max at a float or an array.
 
-    sin and cos of n theta come from one sin/cos pair by angle addition;
-    index 0 is a placeholder, box modes start at 1.
+    Derivatives above `order` are left None.  sin and cos of n theta come
+    from one sin/cos pair by angle addition; index 0 is a placeholder, box
+    modes start at 1.
     """
-    L, a, rungs = axis
+    L, k1, a, rungs = axis
     if lib.any((x < 0) | (x > L)):
         raise DomainError("position outside box domain")
-    theta = math.pi / L * x
+    theta = k1 * x
     s, c = s1, c1 = lib.sincos(theta)
     modes = [(0.0, 0.0, 0.0)]
     for a_kn, a_kn2 in rungs:
         if len(modes) > 1:  # n = 1 is the pair itself
             s, c = s * c1 + c * s1, c * c1 - s * s1
-        modes.append((a * s, a_kn * c, a_kn2 * s))
+        modes.append((a * s, a_kn * c if order else None, a_kn2 * s if order > 1 else None))
     return modes
 
 
 def _box_ladder_plan(n_max: int, L: float):
     a = math.sqrt(2.0 / L)
     kn = [n * math.pi / L for n in range(1, n_max + 1)]
-    return _box_ladder, (L, a, tuple((a * k, -a * k**2) for k in kn))
+    return _box_ladder, (L, math.pi / L, a, tuple((a * k, -a * k**2) for k in kn))
 
 
-def _harmonic_ladder(axis, x, lib):
+def _harmonic_ladder(axis, x, lib, order=2):
     """(value, d/dx, d2/dx2) of the oscillator modes n = 0..n_max at a float or an array.
 
-    One run of the `_hermite_pair` recurrence, with its rounding, serves every n.
+    Derivatives above `order` are left None.  One run of the `_hermite_pair`
+    recurrence, with its rounding, serves every n.
     """
-    s, sqrt_s, s_sqrt_s, s2, rungs = axis
+    s, sqrt_s, s_sqrt_s, s2, h0, rungs = axis
     xi = s * x
     xi2 = xi * xi
-    h_prev, h = 0.0, math.pi ** (-0.25) * lib.exp(-0.5 * xi2)
+    h_prev, h = 0.0, h0 * lib.exp(-0.5 * xi2)
     modes = []
     for sqrt_2n, up, down, two_n1 in rungs:
         value = sqrt_s * h
-        modes.append((value, s_sqrt_s * (sqrt_2n * h_prev - xi * h), s2 * (xi2 - two_n1) * value))
+        modes.append((value, s_sqrt_s * (sqrt_2n * h_prev - xi * h) if order else None,
+                      s2 * (xi2 - two_n1) * value if order > 1 else None))
         h, h_prev = up * xi * h - down * h_prev, h
     return modes
 
@@ -192,7 +196,11 @@ def _harmonic_ladder(axis, x, lib):
 def _harmonic_ladder_plan(n_max: int, s: float):
     rungs = tuple((math.sqrt(2.0 * n), math.sqrt(2.0 / (n + 1)), math.sqrt(n / (n + 1.0)),
                    2 * n + 1) for n in range(n_max + 1))
-    return _harmonic_ladder, (s, math.sqrt(s), s * math.sqrt(s), s**2, rungs)
+    return _harmonic_ladder, (s, math.sqrt(s), s * math.sqrt(s), s**2, math.pi ** (-0.25), rungs)
+
+
+# the second axis of a 1D state in `_term_sum`: value 1, derivatives 0, whatever the point
+_UNIT_AXIS = (lambda axis, x, lib, order: ((1.0, 0.0, 0.0),), None)
 
 
 def _half_angle(theta):
@@ -204,7 +212,7 @@ def _half_angle(theta):
     return 2.0 * t / d, (1.0 - t2) / d
 
 
-# what the ladders and `_point_hessian` call: Python scalars at one point, numpy for arrays
+# what the ladders and `_term_sum` call: Python scalars at one point, numpy for arrays
 _SCALAR = SimpleNamespace(sincos=lambda x: (math.sin(x), math.cos(x)), exp=math.exp,
                           cexp=cmath.exp, any=bool)
 _ARRAY = SimpleNamespace(sincos=_half_angle, exp=np.exp, cexp=np.exp, any=np.any)
@@ -287,7 +295,9 @@ class Superposition:
 
         axes holds one (ladder, constants) per box or oscillator axis, with
         the per-n constants up to the highest quantum number on that axis
-        (free states have none); terms holds (c, E, quantum numbers).
+        (free states have none); terms holds (c, E, quantum numbers).  A 1D
+        box or oscillator state gets a second axis, `_UNIT_AXIS` at n = 0, for
+        `_term_sum`; the array path reads only the axes its points have.
         """
         system = self.system
         terms = tuple((c, st.energy, st.quantum_numbers) for c, st in self.terms)
@@ -295,10 +305,14 @@ class Superposition:
             return (), terms
         n_max = [max(n[i] for _, _, n in terms) for i in range(system.dimension)]
         if system.kind == "box":
-            return tuple(map(_box_ladder_plan, n_max, system.lengths)), terms
-        c = system.constants
-        scales = [math.sqrt(c.mass * w / c.hbar) for w in system.omegas]
-        return tuple(map(_harmonic_ladder_plan, n_max, scales)), terms
+            axes = tuple(map(_box_ladder_plan, n_max, system.lengths))
+        else:
+            c = system.constants
+            scales = [math.sqrt(c.mass * w / c.hbar) for w in system.omegas]
+            axes = tuple(map(_harmonic_ladder_plan, n_max, scales))
+        if system.dimension == 1:
+            return axes + (_UNIT_AXIS,), tuple((c, e, n + (0,)) for c, e, n in terms)
+        return axes, terms
 
 
 def evaluate_wavefunction(sup: Superposition, x, t):
@@ -320,35 +334,48 @@ def evaluate_wavefunction(sup: Superposition, x, t):
             return _batched(sup, x, t)
         point, t = (x.tolist() if d == 2 else [float(x)]), float(t)
     if math.isfinite(t) and all(map(math.isfinite, point)):
-        psi, grad, lap = _term_sum(sup, point, t)
-        return psi, (grad[0] if d == 1 else np.array(grad)), lap
+        psi, gx, gy, hxx, _, hyy = _term_sum(sup, point, t, 2)
+        return (psi, gx, hxx) if d == 1 else (psi, np.array([gx, gy]), hxx + hyy)
     return _batched(sup, np.asarray(point[0] if d == 1 else point, dtype=float), t)
 
 
-def _term_sum(sup: Superposition, point, t: float):
-    """(psi, gradient components, laplacian) at one point of D floats, in Python scalars."""
+def _term_sum(sup: Superposition, point, t, order: int, lib=_SCALAR):
+    """(psi, d_x psi, d_y psi, d_xx psi, d_xy psi, d_yy psi), zero above derivative `order`.
+
+    At one point of D Python floats at a Python-float time, or with
+    lib=_ARRAY at M points of D arrays (t one time or one per point): one
+    pass over the terms adds w_k = c_k exp(-i E_k t / hbar) times each part
+    of a term into its own accumulator.  A 1D state's y entries are zeros
+    (`_UNIT_AXIS`: factors 1.0 and 0.0, which change none of its sums).
+    """
     axes, terms = sup._plan
-    tables = [ladder(constants, xi, _SCALAR) for (ladder, constants), xi in zip(axes, point)]
     hbar = sup.system.constants.hbar
-    psi = grad = lap = None
-    for c, energy, n in terms:
-        if not tables:  # free: plane wave exp(i k . x)
-            v = cmath.exp(1j * sum(ki * xi for ki, xi in zip(n, point)))
-            g, l = [1j * ki * v for ki in n], -sum(ki * ki for ki in n) * v
-        elif len(tables) == 1:
-            v, g, l = tables[0][n[0]]
-            g = [g]
-        else:
-            (vx, gx, lx), (vy, gy, ly) = tables[0][n[0]], tables[1][n[1]]
-            v, g, l = vx * vy, [gx * vy, vx * gy], lx * vy + vx * ly
-        w = c * cmath.exp(-1j * (energy * t / hbar))
-        if psi is None:
-            psi, grad, lap = w * v, [w * gi for gi in g], w * l
-        else:
-            psi = psi + w * v
-            grad = [a + w * gi for a, gi in zip(grad, g)]
-            lap = lap + w * l
-    return psi, grad, lap
+    cexp = lib.cexp
+    # -0j adds exactly, 0.0 turns an exact -0.0 to +0.0: each order keeps its callers' zeros
+    psi = gx = gy = hxx = hxy = hyy = 0.0 if order > 1 else -0j
+    if not axes:  # free: plane waves exp(i k . x), parts v, i k_i v and -k_i k_j v
+        for c, energy, n in terms:
+            w = c * cexp(-1j * (energy * t / hbar))
+            v = cexp(1j * sum(ki * xi for ki, xi in zip(n, point)))
+            kx, ky = n if len(n) == 2 else (n[0], 0.0)
+            psi += w * v
+            if order:
+                gx, gy = gx + w * (1j * kx * v), gy + w * (1j * ky * v)
+            if order > 1:
+                hxx, hxy = hxx + w * (-kx * kx * v), hxy + w * (-kx * ky * v)
+                hyy += w * (-ky * ky * v)
+        return psi, gx, gy, hxx, hxy, hyy
+    (ladder_x, cx), (ladder_y, cy) = axes
+    tx, ty = ladder_x(cx, point[0], lib, order), ladder_y(cy, point[-1], lib, order)
+    for c, energy, (i, j) in terms:
+        w = c * cexp(-1j * (energy * t / hbar))
+        (vx, dx, lx), (vy, dy, ly) = tx[i], ty[j]
+        psi += w * (vx * vy)
+        if order:
+            gx, gy = gx + w * (dx * vy), gy + w * (vx * dy)
+        if order > 1:
+            hxx, hxy, hyy = hxx + w * (lx * vy), hxy + w * (dx * dy), hyy + w * (vx * ly)
+    return psi, gx, gy, hxx, hxy, hyy
 
 
 def _batched(sup: Superposition, x: np.ndarray, t):
@@ -411,32 +438,6 @@ def _term_tables(sup: Superposition, x):
         return per_axis[0]
     (vx, gx, lx), (vy, gy, ly) = per_axis
     return [vx * vy, gx * vy, vx * gy, lx * vy + vx * ly]
-
-
-def _point_hessian(sup: Superposition, point, t):
-    """(psi, gradient, Hessian rows) at one point of D floats, or at M points of D arrays.
-
-    It reads `_term_sum`'s ladders but stays apart from `_term_sum`, which
-    serves every wavefield call and need not pay for the Hessian.
-    """
-    lib = _ARRAY if isinstance(point[0], np.ndarray) else _SCALAR
-    axes, terms = sup._plan
-    tables = [ladder(constants, xi, lib) for (ladder, constants), xi in zip(axes, point)]
-    hbar, d = sup.system.constants.hbar, len(point)
-    total = [0.0] * (1 + d + d * d)  # psi, the gradient, then the Hessian row by row
-    for c, energy, n in terms:
-        if not tables:  # free: plane wave exp(i k . x)
-            v = lib.cexp(1j * sum(ki * xi for ki, xi in zip(n, point)))
-            parts = [v, *[1j * ki * v for ki in n], *[-ki * kj * v for ki in n for kj in n]]
-        elif len(tables) == 1:
-            parts = tables[0][n[0]]
-        else:
-            (vx, gx, lx), (vy, gy, ly) = tables[0][n[0]], tables[1][n[1]]
-            gxy = gx * gy
-            parts = [vx * vy, gx * vy, vx * gy, lx * vy, gxy, gxy, vx * ly]
-        w = c * lib.cexp(-1j * (energy * t / hbar))
-        total = [b + w * a for b, a in zip(total, parts)]
-    return total[0], total[1:d + 1], [total[d + 1 + d * i:d + 1 + d * (i + 1)] for i in range(d)]
 
 
 # rows per block of a batched evaluation: 64 KiB per complex array, below

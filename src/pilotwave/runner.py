@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -250,7 +251,7 @@ def run_scenario(config_path, out_dir=None) -> RunManifest:
     if scn.kind == "compare":
         report = compare_report([Path(p) for p in scn.run["inputs"]],
                                 classical_threshold=scn.run["classical_chaos_threshold"],
-                                bohmian_threshold=scn.run["bohmian_chaos_threshold"])
+                                bohmian_threshold=scn.run["bohmian_chaos_threshold"], base=out)
         produced = write_report(report, out)
     else:
         produced = _RUNNERS[scn.kind](scn, out)
@@ -291,19 +292,22 @@ def _load_diagnostics(manifest_path: Path) -> dict:
 
 
 def compare_report(manifests, classical_threshold: float = 0.05,
-                   bohmian_threshold: float = 0.02) -> dict:
+                   bohmian_threshold: float = 0.02, base=None) -> dict:
     """Side-by-side dynamical summary of completed scenarios.
 
     For classical/Bohmian pairs the report states whether the regimes agree
     or exhibit the regular-vs-chaotic mismatch; matching-kind pairs also get
     numeric deltas.  A single scenario degenerates to a one-column summary.
+    Manifest paths are written relative to `base`, the report's directory,
+    if given (a copied tree then writes the same report), else as given.
     """
     entries = [_load_diagnostics(Path(m)) for m in manifests]
     rows = []
     for e in entries:
         lam = e.get("lyapunov")
         row = {
-            "manifest": e["manifest"],
+            "manifest": e["manifest"] if base is None else
+            os.path.relpath(Path(e["manifest"]).resolve(), Path(base).resolve()),
             "kind": e.get("kind", "unknown"),
             "lyapunov": lam,
             "coverage": e.get("coverage"),

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -283,6 +285,29 @@ def test_cli_compare_report_matches_compare_scenario(tmp_path, capsys):
         assert cli_bytes == (tmp_path / "scenario" / name).read_bytes()
         assert cli_bytes.endswith(b"\n")
     assert capsys.readouterr().out == (tmp_path / "cli" / "report.txt").read_text() + "\n"
+
+
+def test_compare_report_is_the_same_in_a_copied_tree(tmp_path):
+    """Inputs copied into two different trees give byte-identical report files:
+    manifest paths are written relative to the report's directory."""
+    first = tmp_path / "first"
+    for eps in (-1.0, -0.15):
+        name = f"c{eps:+g}"
+        cfg = _write(tmp_path / f"{name}.json", _classical_doc(
+            name=name, epsilon=eps, duration=5.0, lyapunov={"horizon": 5.0}))
+        run_scenario(cfg, out_dir=first / name)
+    second = tmp_path / "elsewhere" / "second"
+    shutil.copytree(first, second)
+    for tree in (first, second):
+        cmp_cfg = _write(tree / "cmp.json", {"schema": 1, "name": "cmp", "kind": "compare",
+                                             "run": {"inputs": [str(tree / "c-1"),
+                                                                str(tree / "c-0.15")]}})
+        run_scenario(cmp_cfg, out_dir=tree / "compare")
+    for name in ("report.json", "report.txt"):
+        assert (first / "compare" / name).read_bytes() == (second / "compare" / name).read_bytes()
+    rows = json.loads((first / "compare" / "report.json").read_text())["scenarios"]
+    assert [row["manifest"] for row in rows] == [os.path.join("..", "c-1", "manifest.json"),
+                                                  os.path.join("..", "c-0.15", "manifest.json")]
 
 
 def test_emit_plot_trajectory_with_overlay(tmp_path):

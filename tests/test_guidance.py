@@ -1,5 +1,6 @@
 """Properties of the guidance velocity and its Jacobian, the batched polar
-decomposition and the one-point wavefield path.
+decomposition, the one-point wavefield path and the scalar kernels against
+the reference term sums of `oracles.py`.
 
 Random box, harmonic and free superpositions in 1D and 2D, with non-unit
 hbar and mass among them, evaluated at random points and times.
@@ -7,8 +8,10 @@ hbar and mass among them, evaluated at random points and times.
 
 import cmath
 import math
+import struct
 
 import numpy as np
+import oracles
 import pytest
 from conftest import newtonian_residual_loop
 from hypothesis import given, settings
@@ -360,6 +363,12 @@ def test_norm_quadrature_is_one(case, t):
     assert abs(qm.norm_quadrature(sup, t) - 1.0) < 1e-10
 
 
+def _hessian(sup, point, t):
+    """(psi, Hessian rows) at one point of D floats from the scalar kernel `_term_sum`."""
+    psi, _, _, hxx, hxy, hyy = qm._term_sum(sup, point, t, 2)
+    return psi, [[hxx, hxy], [hxy, hyy]] if len(point) == 2 else [[hxx]]
+
+
 def _central_jacobian(sup, x, t, h):
     """dv_i/dx_j by central differences of `_guidance`'s v with step h, one batched call."""
     d = sup.system.dimension
@@ -371,7 +380,8 @@ def _central_jacobian(sup, x, t, h):
 @settings(max_examples=150, deadline=None)
 @given(case=wavefields())
 def test_guidance_jacobian_matches_central_differences(case):
-    """`_guidance_jacobian` against central differences of v; trace H against lap psi.
+    """`_guidance_jacobian` against central differences of v; trace H against the
+    batched path's lap psi.
 
     The difference quotient's own error is estimated from two steps: its
     leading term goes as h^2, so D(h/2) - J is about (D(h) - D(h/2)) / 3,
@@ -383,8 +393,9 @@ def test_guidance_jacobian_matches_central_differences(case):
     c = sup.system.constants
     for i in range(t.size):
         point = x[i].tolist()
-        psi, _, hess = qm._point_hessian(sup, point, t[i])
-        _, _, lap = qm.evaluate_wavefunction(sup, _point(sup, x[i]), t[i])
+        psi, hess = _hessian(sup, point, t[i])
+        row = x[i:i + 1]  # one point through the batched path
+        lap = qm.evaluate_wavefunction(sup, row[:, 0] if len(point) == 1 else row, t[i])[2][0]
         a, g, l = _term_sizes(sup, _point(sup, x[i]))
         assert abs(sum(hess[k][k] for k in range(len(point))) - lap) <= _floored(1e-12 * l)
         if abs(psi) < 0.05 * a:
@@ -411,7 +422,7 @@ def _hessian_size(sup, x, t):
     point = np.atleast_1d(x).tolist()
     size = 0.0
     for c, state in sup.terms:
-        _, _, hess = qm._point_hessian(qm.Superposition(sup.system, ((1.0, state),)), point, t)
+        _, hess = _hessian(qm.Superposition(sup.system, ((1.0, state),)), point, t)
         size += abs(c) * max(abs(h) for row in hess for h in row)
     return size
 
@@ -463,3 +474,59 @@ def test_component_rhs_float_path_matches_batched_columns(case):
         _, v_tol, _ = _field_tolerances(sup, _point(sup, _inside(sup, x[i])), amp_all[i],
                                         _point_sizes)
         assert max(abs(v[k] - v_all[i, k]) for k in range(d)) <= v_tol
+
+
+def _bits(value):
+    """The IEEE bits of a float or complex, or of each entry of nested lists and arrays:
+    equal bits mean the same number, the same sign of zero and the same NaN."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_bits(v) for v in value]
+    value = complex(value)
+    return struct.pack("<dd", value.real, value.imag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=wavefields(wall=(1e-9, 1e-12)), numpy_time=st.booleans())
+def test_scalar_kernels_match_reference_term_sums_bit_for_bit(case, numpy_time):
+    """v, |psi| and the guidance Jacobian at one point, and the Jacobian on arrays as
+    the dense rebuild of a tangent run passes them, against the generic term loops
+    of `oracles.py`: the same bits.  Box points up to 1e-9 outside a wall are
+    held inside alike; a numpy-scalar time takes the same path as a float."""
+    sup, x, t = case
+    for i in range(t.size):
+        ti = np.float64(t[i]) if numpy_time else float(t[i])
+        v, amp = bm._guidance(sup, x[i], ti)
+        v_ref, amp_ref = oracles.guidance(sup, x[i], ti)
+        assert _bits(v) == _bits(v_ref) and _bits(amp) == _bits(amp_ref)
+        assert _bits(bm._point_amplitude(sup, x[i], ti)) == _bits(oracles.amplitude(sup, x[i], ti))
+        got = bm._guidance_jacobian(sup, x[i].tolist(), float(ti))
+        assert _bits(got) == _bits(oracles.jacobian(sup, x[i], ti))
+        # the one-point wavefield sums the Hessian: psi and grad psi agree up to the
+        # sign of an exact zero, lap psi (its trace) to rounding
+        point = _point(sup, _inside(sup, x[i]))
+        psi, grad, lap = qm.evaluate_wavefunction(sup, point, ti)
+        psi_ref, grad_ref, lap_ref = oracles.term_sum(sup, np.atleast_1d(point).tolist(), float(ti))
+        assert psi == psi_ref and np.atleast_1d(grad).tolist() == grad_ref
+        assert abs(lap - lap_ref) <= _floored(1e-12 * _point_sizes(sup, point)[2])
+    assert _bits(bm._guidance_jacobian(sup, x.T, t)) == _bits(oracles.jacobian(sup, x.T, t))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4,
+                  unique=True),
+       d=st.sampled_from((1, 2)), y=st.floats(-2.0, 2.0), t=st.floats(0.0, 3.0))
+def test_scalar_kernels_at_an_exact_node(n, d, y, t):
+    """psi = 0 exactly on the line x = 0 of odd oscillator modes: |psi| is 0, v is the
+    array formula's NaN, and the Jacobian raises ZeroDivisionError, as the reference does."""
+    system = sy.harmonic(*(1.0, math.sqrt(2.0))[:d])
+    sup = qm.Superposition.of(system, [(1.0 + 0.5j * k, (2 * a + 1, b)[:d])
+                                       for k, (a, b) in enumerate(n)])
+    x = np.array([0.0, y][:d])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v, amp = bm._guidance(sup, x, t)
+    v_ref, amp_ref = oracles.guidance(sup, x, t)
+    assert amp == amp_ref == 0.0 and bm._point_amplitude(sup, x, t) == 0.0
+    assert np.all(np.isnan(v)) and _bits(v) == _bits(v_ref)
+    for jacobian in (bm._guidance_jacobian, oracles.jacobian):
+        with pytest.raises(ZeroDivisionError):
+            jacobian(sup, x.tolist(), t)

@@ -57,8 +57,10 @@ def test_tracer_counts_integrations_per_module(two_mode_box_complex):
     assert [getattr(mod, name) for mod, name in originals] == before
 
 
-def test_tracer_times_every_guidance_evaluation(chaotic_aniso_state):
-    """One-point guidance stays behind the traced name `evaluate_wavefunction`."""
+def test_tracer_sees_only_the_array_calls_of_a_trajectory(chaotic_aniso_state):
+    """One-point guidance runs in the scalar kernel `quantum._term_sum`, outside the
+    traced name `evaluate_wavefunction`: of a trajectory the tracer times the
+    array calls (the dense-output rebuild and the sampled fields) and no step."""
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -66,5 +68,6 @@ def test_tracer_times_every_guidance_evaluation(chaotic_aniso_state):
         metrics = tracer.metrics(1)
     finally:
         tracer.uninstall()
-    assert metrics["quantum.scalar_us_per_call"] > 0
-    assert metrics["quantum.eval_calls"] >= metrics["integrate.bohmian.nfev"] > 0
+    assert metrics["quantum.scalar_us_per_call"] == 0.0
+    assert metrics["quantum.batch_ns_per_point_term"] > 0
+    assert 0 < metrics["quantum.eval_calls"] < metrics["integrate.bohmian.nfev"]
