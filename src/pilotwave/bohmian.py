@@ -48,6 +48,8 @@ __all__ = [
 
 # loops must keep this much amplitude margin above the node threshold
 CIRCULATION_GUARD_FACTOR = 1e-7
+CIRCULATION_TOL = 1e-6  # relative to 2 pi hbar / m, the circulation quantum
+GRAD_STEP = 1e-5  # central-difference step of grad Q in `newtonian_residual`
 
 
 def _guidance(sup: Superposition, x, t):
@@ -219,6 +221,14 @@ def _node_threshold(sup: Superposition) -> float:
     return NODE_THRESHOLD_FACTOR * amplitude_scale(sup)
 
 
+def _start(sup: Superposition, x0) -> np.ndarray:
+    """x0 as an array of shape (D,); DomainError unless it is a point of the domain."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (sup.system.dimension,) or not sup.system.in_domain(x0):
+        raise DomainError(f"x0 {x0} is not a point of the {sup.system.dimension}D domain")
+    return x0
+
+
 def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9) -> BohmianTrajectory:
     """Integrate dx/dt = v(x, t) from x0 over t_span with DOP853.
 
@@ -228,10 +238,8 @@ def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9) -> Bohm
     """
     system = sup.system
     d = system.dimension
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _start(sup, x0)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not system.in_domain(x0):
-        raise DomainError(f"x0 {x0} outside domain")
     threshold = _node_threshold(sup)
 
     amp0 = float(_guidance(sup, x0, t0)[1])
@@ -260,7 +268,7 @@ def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9) -> Bohm
 
 
 def newtonian_residual(traj: BohmianTrajectory, sup: Superposition,
-                       n_samples: int = 2001, grad_step: float = 1e-5) -> float:
+                       n_samples: int = 2001) -> float:
     """Max |m d2x/dt2 + grad(V + Q)| along the trajectory.
 
     Acceleration comes from a fourth-order five-point second difference of
@@ -283,9 +291,9 @@ def newtonian_residual(traj: BohmianTrajectory, sup: Superposition,
         -xx2[:-4] + 16.0 * xx2[1:-3] - 30.0 * xx2[2:-2] + 16.0 * xx2[3:-1] - xx2[4:]
     ) / (12.0 * dt**2)
 
-    # Q at x +- grad_step along each axis: stencil (sample, sign, axis, D)
+    # Q at x +- GRAD_STEP along each axis: stencil (sample, sign, axis, D)
     x = xx2[2:-2]
-    steps = grad_step * np.eye(d)
+    steps = GRAD_STEP * np.eye(d)
     stencil = np.stack([x[:, None, :] + steps, x[:, None, :] - steps], axis=1)
     fields = _sampled_fields(sup, stencil.reshape(-1, d), np.repeat(tt[2:-2], 2 * d))
     rho, q, _, bad = (a.reshape(stencil.shape[:-1] + a.shape[1:]) for a in fields)
@@ -293,7 +301,7 @@ def newtonian_residual(traj: BohmianTrajectory, sup: Superposition,
         k = np.argwhere(bad)[0]
         raise NodeSingularityError(stencil[tuple(k)], tt[2 + k[0]], float(rho[tuple(k)]),
                                    "newtonian residual stencil touches a node")
-    gq = (q[:, 0] - q[:, 1]) / (2.0 * grad_step)
+    gq = (q[:, 0] - q[:, 1]) / (2.0 * GRAD_STEP)
     gv = system.potential_gradient(x if d == 2 else x[:, 0]).reshape(-1, d)
     return float(np.max(np.abs(m * acc + (gv + gq)), initial=0.0))
 
@@ -327,7 +335,9 @@ def bohmian_lyapunov(
     yields a partial estimate with the flag set; its time comes from the
     run's dense output, rebuilt with one column per time.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _start(sup, x0)
+    if horizon <= 0:
+        raise DomainError(f"the Lyapunov horizon must be positive, got {horizon}")
     d = x0.size
     threshold = _node_threshold(sup)
 
@@ -357,12 +367,11 @@ class CirculationResult:
     residual: float
 
 
-def circulation(sup: Superposition, loop, t: float,
-                quantum_tol: float = 1e-6) -> CirculationResult:
+def circulation(sup: Superposition, loop, t: float) -> CirculationResult:
     """Circulation of the Bohmian velocity around a closed polygon.
 
     The integral is computed edge by edge with adaptive quadrature and must
-    come out an integer multiple of 2 pi hbar / m within `quantum_tol`
+    come out an integer multiple of 2 pi hbar / m within `CIRCULATION_TOL`
     relative (single-valuedness of psi); a violation raises.
     """
     system = sup.system
@@ -398,9 +407,9 @@ def circulation(sup: Superposition, loop, t: float,
     quantum = 2.0 * math.pi * hbar / m
     winding = int(round(total / quantum))
     residual = abs(total - winding * quantum)
-    if residual > quantum_tol * quantum:
+    if residual > CIRCULATION_TOL * quantum:
         raise PilotwaveError(
             f"circulation {total!r} not quantized: residual {residual:.3e} "
-            f"exceeds {quantum_tol:.1e} x 2 pi hbar/m"
+            f"exceeds {CIRCULATION_TOL:.1e} x 2 pi hbar/m"
         )
     return CirculationResult(loop, total, winding, residual)

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 PSEUDO_ENERGY = 2.0
+SHELL_TOL = 1e-6  # how far off the shell h = 2 a diamagnetic run may start
 
 
 def regularized_hamiltonian(y, epsilon: float):
@@ -219,11 +220,11 @@ def _diamagnetic_rhs(eps):
 
 
 def integrate_classical(system, initial: PhaseState, duration: float,
-                        tol: float = 1e-10, shell_tol: float = 1e-6) -> Trajectory:
+                        tol: float = 1e-10) -> Trajectory:
     """Integrate the classical flow for `duration` starting at `initial`.
 
     Diamagnetic systems integrate the regularized flow (duration is rescaled
-    time) and must start on the pseudo-energy shell h = 2 within shell_tol.
+    time) and must start on the pseudo-energy shell h = 2 within SHELL_TOL.
     Solvable systems integrate Hamilton's equations in physical time; a box
     system integrates its free flight once, and `_fold` folds it into the
     box, which reflects at the walls exactly.  The conserved quantity is
@@ -232,7 +233,7 @@ def integrate_classical(system, initial: PhaseState, duration: float,
     if isinstance(system, DiamagneticSystem):
         y0 = initial.as_array()
         h0 = float(regularized_hamiltonian(y0, system.epsilon))
-        if abs(h0 - PSEUDO_ENERGY) > shell_tol:
+        if abs(h0 - PSEUDO_ENERGY) > SHELL_TOL:
             raise DomainError(f"initial state off shell: h = {h0!r}")
         res = solve_ivp(_diamagnetic_rhs(system.epsilon), (initial.t, initial.t + duration),
                         np.concatenate([y0, [0.0, 0.0]]), rtol=tol, atol=tol, dense_output=True)
@@ -425,6 +426,8 @@ def lyapunov_exponent(system, initial: PhaseState, horizon: float,
     For the diamagnetic system the rate is per unit rescaled time, and the
     coverage comes from samples of the same run (`_tangent_run`).
     """
+    if horizon <= 0:
+        raise DomainError(f"the Lyapunov horizon must be positive, got {horizon}")
     res = _tangent_run(system, initial.as_array(), horizon, tol)
     cov = 0.0
     if isinstance(system, DiamagneticSystem) and system.epsilon < 0:

@@ -1,7 +1,8 @@
 """Command line front end: run scenarios, render plots, compare runs.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
-(partial outputs plus a failure report are left in the output directory).
+Exit codes: 0 success; 2 configuration or usage error, found before any
+output directory is made; 3 numerical failure, reported as a message on
+stderr, with the files the run wrote so far left in its output directory.
 """
 
 from __future__ import annotations

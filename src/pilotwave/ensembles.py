@@ -31,6 +31,7 @@ __all__ = [
 
 ENVELOPE_GRID = 256
 ENVELOPE_MARGIN = 1.1
+QUAD_ORDER = 12  # Gauss-Legendre points per bin and axis of `bin_probabilities`
 
 
 @dataclass(frozen=True)
@@ -168,15 +169,14 @@ def evolve_ensemble(ensemble: Ensemble, sup: Superposition, t1: float,
     return EnsembleEvolution(Ensemble(ensemble.seed, out, t1), reports)
 
 
-def bin_probabilities(sup: Superposition, t: float, bins: int = 50,
-                      quad_order: int = 12) -> np.ndarray:
+def bin_probabilities(sup: Superposition, t: float, bins: int = 50) -> np.ndarray:
     """Exact rho^2 probability content of a uniform bin grid over the domain.
 
     Gauss-Legendre quadrature per bin; returns shape (bins,) in 1D and
     (bins, bins) in 2D.
     """
     lo, hi = effective_domain(sup)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
     axes = []  # (half bin width, quadrature points) per axis
     for l, h in zip(lo, hi):
         edges = np.linspace(l, h, bins + 1)
@@ -184,9 +184,9 @@ def bin_probabilities(sup: Superposition, t: float, bins: int = 50,
         axes.append((half, (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()))
     if len(axes) == 1:
         (half, pts), = axes
-        return half * _density_batch(sup, pts, t).reshape(bins, quad_order) @ weights
+        return half * _density_batch(sup, pts, t).reshape(bins, QUAD_ORDER) @ weights
     (hx, gx), (hy, gy) = axes
-    dens = (np.abs(_psi_grid(sup, gx, gy, t)) ** 2).reshape(bins, quad_order, bins, quad_order)
+    dens = (np.abs(_psi_grid(sup, gx, gy, t)) ** 2).reshape(bins, QUAD_ORDER, bins, QUAD_ORDER)
     return hx * hy * np.einsum("aibj,ij->ab", dens, np.outer(weights, weights))
 
 

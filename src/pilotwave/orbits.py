@@ -245,7 +245,7 @@ def orbit_invariants(orbit: ClosedOrbit):
     return action, orbit.period, orbit.monodromy_trace, orbit.phase_index
 
 
-def solvable_orbit(system: SolvableSystem, energy: float, tol: float = 1e-11) -> ClosedOrbit:
+def solvable_orbit(system: SolvableSystem, energy: float) -> ClosedOrbit:
     """Periodic orbit of a 1D solvable system at the given energy.
 
     Harmonic: one libration period starting at the right turning point.
@@ -267,7 +267,7 @@ def solvable_orbit(system: SolvableSystem, energy: float, tol: float = 1e-11) ->
         p = math.sqrt(2.0 * m * energy)
         start = PhaseState((0.0,), (p,))
         period = 2.0 * system.lengths[0] * m / p
-    traj = integrate_classical(system, start, period, tol=tol)
+    traj = integrate_classical(system, start, period, tol=TOL)
     tt = np.linspace(0.0, period, 2001)
     samples = traj.at(tt)
     path = np.stack([samples[:, 0], np.zeros_like(tt), samples[:, 1],

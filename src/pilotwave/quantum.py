@@ -24,7 +24,6 @@ ulps of its largest value on every path, as each rounds the sine's argument.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, NodeSingularityError
-from .systems import SolvableSystem, SystemConstants, _number, system_from_dict
+from .systems import SolvableSystem, SystemConstants, system_from_dict
 
 __all__ = [
     "EigenstateRef",
@@ -53,12 +52,12 @@ __all__ = [
     "continuous_phase",
     "superposition_from_dict",
     "superposition_to_dict",
-    "load_superposition",
     "NODE_THRESHOLD_FACTOR",
 ]
 
 # amplitude below NODE_THRESHOLD_FACTOR * amplitude_scale(sup) counts as node proximity
 NODE_THRESHOLD_FACTOR = 1e-10
+NEWTON_STEPS = 60  # at most, to polish a 2D node candidate of `find_nodes`
 
 
 @dataclass(frozen=True)
@@ -623,9 +622,9 @@ def _refine_node_1d(sup, t, a, b, beta):
     return brentq(g, a, b, xtol=1e-14, rtol=8.9e-16)
 
 
-def _refine_node_2d(sup, t, x0, cell, max_iter=60):
+def _refine_node_2d(sup, t, x0, cell):
     x = np.asarray(x0, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         psi, grad, _ = evaluate_wavefunction(sup, x, t)
         f = np.array([psi.real, psi.imag])
         jac = np.array([[grad[0].real, grad[1].real], [grad[0].imag, grad[1].imag]])
@@ -718,30 +717,10 @@ def superposition_to_dict(sup: Superposition) -> dict:
 
 
 def superposition_from_dict(d: dict) -> Superposition:
-    """Load from the spec-file schema; renormalizes, warning when norm is off.
-
-    Unknown keys anywhere in the document are rejected so a typo cannot
-    silently change the state.
-    """
-    for key in d:
-        if key not in ("system", "terms"):
-            raise DomainError(f"unknown superposition field {key!r}")
-    system = system_from_dict(d["system"])
-    if not isinstance(system, SolvableSystem):
-        raise DomainError("a superposition needs a free, box or harmonic system")
-    for t in d["terms"]:
-        for key in t:
-            if key not in ("c_re", "c_im", "n"):
-                raise DomainError(f"unknown term field {key!r}")
-    spec = [(complex(_number(t["c_re"], "c_re"), _number(t["c_im"], "c_im")),
-             tuple(_number(v, "quantum number", system.kind != "free") for v in t["n"]))
-            for t in d["terms"]]
+    """A superposition from a well-formed spec-file block (`config` checks one);
+    renormalizes, warning when the input norm is off."""
+    spec = [(complex(t["c_re"], t["c_im"]), tuple(t["n"])) for t in d["terms"]]
     raw_norm = math.sqrt(sum(c.real ** 2 + c.imag ** 2 for c, _ in spec))
     if abs(raw_norm - 1.0) > 1e-6:
         warnings.warn(f"superposition input norm {raw_norm:.6g} != 1; renormalizing")
-    return Superposition.of(system, spec)
-
-
-def load_superposition(path) -> Superposition:
-    with open(path, "r", encoding="utf-8") as fh:
-        return superposition_from_dict(json.load(fh))
+    return Superposition.of(system_from_dict(d["system"]), spec)

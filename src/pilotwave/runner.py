@@ -22,12 +22,11 @@ from .classical import (
     lyapunov_exponent,
     poincare_section,
 )
-from .config import Scenario, build_state, build_system, load_scenario
+from .config import Scenario, load_scenario
 from .csvio import write_csv
 from .ensembles import equivariance_l1, evolve_ensemble, sample_quantum_equilibrium
 from .errors import ConfigError
 from .orbits import solvable_orbit
-from .quantum import Superposition
 from .spectra import (
     box_orbit_family,
     harmonic_orbit_family,
@@ -35,9 +34,12 @@ from .spectra import (
     recurrence_spectrum,
     trace_formula_density,
 )
-from .systems import DiamagneticSystem
 
 __all__ = ["RunManifest", "run_scenario", "compare_report", "scenario_hash"]
+
+# a Lyapunov value above these reads as chaotic in compare reports
+CLASSICAL_CHAOS_THRESHOLD = 0.05
+BOHMIAN_CHAOS_THRESHOLD = 0.02
 
 
 @dataclass
@@ -87,11 +89,7 @@ def _boundary_csv(path: Path, epsilon: float) -> None:
 
 
 def _run_classical(scn: Scenario, out: Path) -> list[Path]:
-    system = build_system(scn.system)
-    if not isinstance(system, DiamagneticSystem):
-        raise ConfigError("system", "classical scenarios run the diamagnetic system")
-    run = scn.run
-    section = run["section"] and SectionPlane(**run["section"])  # a bad plane fails before the run
+    system, run = scn.system, scn.run
     out.mkdir(parents=True, exist_ok=True)
     initial = launch_from_nucleus(run["launch_angle"])
     traj = integrate_classical(system, initial, run["duration"], tol=run["tol"])
@@ -113,8 +111,8 @@ def _run_classical(scn: Scenario, out: Path) -> list[Path]:
         diagnostics["lyapunov"] = diag.lyapunov_estimate
         diagnostics["lyapunov_horizon"] = diag.horizon
         diagnostics["coverage"] = diag.coverage_fraction
-    if section is not None:
-        pts = poincare_section(traj, section)
+    if run["section"] is not None:
+        pts = poincare_section(traj, SectionPlane(**run["section"]))
         write_csv(out / "section.csv", ["q", "p"], pts.T)
         files.append(out / "section.csv")
         diagnostics["section_points"] = int(pts.shape[0])
@@ -124,9 +122,8 @@ def _run_classical(scn: Scenario, out: Path) -> list[Path]:
 
 
 def _run_bohmian(scn: Scenario, out: Path) -> list[Path]:
-    sup = build_state(scn.state)
+    sup, run = scn.state, scn.run
     out.mkdir(parents=True, exist_ok=True)
-    run = scn.run
     traj = integrate_bohmian(sup, run["x0"], (run["t0"], run["t1"]), tol=run["tol"])
     traj.to_csv(out / "trajectory.csv")
     files = [out / "trajectory.csv"]
@@ -149,9 +146,8 @@ def _run_bohmian(scn: Scenario, out: Path) -> list[Path]:
 
 
 def _run_ensemble(scn: Scenario, out: Path) -> list[Path]:
-    sup = build_state(scn.state)
+    sup, run = scn.state, scn.run
     out.mkdir(parents=True, exist_ok=True)
-    run = scn.run
     ens0 = sample_quantum_equilibrium(sup, run["t0"], run["n"], run["seed"])
     ens0.to_csv(out / "ensemble_t0.csv")
     evo = evolve_ensemble(ens0, sup, run["t1"], tol=run["tol"])
@@ -170,20 +166,9 @@ def _run_ensemble(scn: Scenario, out: Path) -> list[Path]:
             out / "node_reports.json", out / "metrics.json"]
 
 
-def _state_orbit(sup: Superposition, energy_override):
-    system = sup.system
-    if energy_override is not None:
-        energy = energy_override
-    else:
-        weights = np.abs(sup.coefficients) ** 2
-        energy = float(weights @ sup.energies)
-    return solvable_orbit(system, energy)
-
-
 def _run_recurrence(scn: Scenario, out: Path) -> list[Path]:
-    sup = build_state(scn.state)
+    sup, run = scn.state, scn.run
     out.mkdir(parents=True, exist_ok=True)
-    run = scn.run
     times = np.linspace(0.0, run["t_max"], run["samples"])
     spec = recurrence_spectrum(sup, times)
     spec.to_csv(out / "recurrence.csv")
@@ -191,9 +176,10 @@ def _run_recurrence(scn: Scenario, out: Path) -> list[Path]:
     payload = {"kind": "recurrence",
                "peaks": [{"t": t, "height": h} for t, h in spec.peaks]}
     if sup.system.dimension == 1 and sup.system.kind in ("harmonic", "box"):
-        orbit = _state_orbit(sup, run["orbit_energy"])
-        tol = run["match_tol"] if run["match_tol"] else 2.0 * (times[1] - times[0])
-        assoc = match_peaks_to_orbits(spec, [orbit], tol)
+        weights = np.abs(sup.coefficients) ** 2  # the orbit at the state's mean energy
+        orbit = solvable_orbit(sup.system, float(weights @ sup.energies))
+        # a peak within two grid spacings of a repetition of the period matches it
+        assoc = match_peaks_to_orbits(spec, [orbit], 2.0 * (times[1] - times[0]))
         payload["orbit_period"] = orbit.period
         payload["associations"] = [
             {k: (None if isinstance(v, float) and math.isinf(v) else v)
@@ -205,10 +191,7 @@ def _run_recurrence(scn: Scenario, out: Path) -> list[Path]:
 
 
 def _run_trace(scn: Scenario, out: Path) -> list[Path]:
-    system = build_system(scn.system)
-    run = scn.run
-    if not hasattr(system, "kind"):
-        raise ConfigError("system", "trace scenarios need a solvable system")
+    system, run = scn.system, scn.run
     out.mkdir(parents=True, exist_ok=True)
     if system.dimension == 1 and system.kind == "harmonic":
         families = [harmonic_orbit_family(system)]
@@ -242,16 +225,15 @@ def run_scenario(config_path, out_dir=None) -> RunManifest:
     """Validate and execute one scenario; write outputs and manifest.json.
 
     Identical configs produce identical data-file checksums; the manifest
-    records them.  Each kind builds its system or state before it creates
-    the output directory, so a configuration error leaves none behind.
+    records them.  `load_scenario` checks every field and builds the system
+    or state before any output directory is made, so a configuration error
+    leaves none behind.
     """
     scn = load_scenario(config_path)
     out = Path(out_dir) if out_dir else Path(scn.output_dir or scn.name)
     start = time.perf_counter()
     if scn.kind == "compare":
-        report = compare_report([Path(p) for p in scn.run["inputs"]],
-                                classical_threshold=scn.run["classical_chaos_threshold"],
-                                bohmian_threshold=scn.run["bohmian_chaos_threshold"], base=out)
+        report = compare_report([Path(p) for p in scn.run["inputs"]], base=out)
         produced = write_report(report, out)
     else:
         produced = _RUNNERS[scn.kind](scn, out)
@@ -291,8 +273,7 @@ def _load_diagnostics(manifest_path: Path) -> dict:
     return entry
 
 
-def compare_report(manifests, classical_threshold: float = 0.05,
-                   bohmian_threshold: float = 0.02, base=None) -> dict:
+def compare_report(manifests, base=None) -> dict:
     """Side-by-side dynamical summary of completed scenarios.
 
     For classical/Bohmian pairs the report states whether the regimes agree
@@ -314,7 +295,8 @@ def compare_report(manifests, classical_threshold: float = 0.05,
             "l1_t1": e.get("l1_t1"),
         }
         if lam is not None:
-            threshold = classical_threshold if row["kind"] == "classical" else bohmian_threshold
+            threshold = (CLASSICAL_CHAOS_THRESHOLD if row["kind"] == "classical"
+                         else BOHMIAN_CHAOS_THRESHOLD)
             row["regime"] = "chaotic" if lam > threshold else "regular"
         rows.append(row)
 
@@ -344,7 +326,8 @@ def compare_report(manifests, classical_threshold: float = 0.05,
         "scenarios": rows,
         "mismatch_flags": flags,
         "deltas": deltas,
-        "thresholds": {"classical": classical_threshold, "bohmian": bohmian_threshold},
+        "thresholds": {"classical": CLASSICAL_CHAOS_THRESHOLD,
+                       "bohmian": BOHMIAN_CHAOS_THRESHOLD},
     }
 
 

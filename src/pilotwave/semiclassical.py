@@ -31,6 +31,10 @@ __all__ = [
     "exact_green_1d",
 ]
 
+SHOT_TOL = 1e-13  # DOP853 tolerance of each `van_vleck_1d` shot
+HJ_STEP = 1e-6  # central-difference step in x and t of `hamilton_jacobi_residual`
+GREEN_STATES = 4000  # modes in the box sum of `exact_green_1d`
+
 
 @dataclass(frozen=True)
 class ClassicalAction:
@@ -61,16 +65,15 @@ class PropagatorValue:
         return self.contributing_paths == 0
 
 
-def hamilton_jacobi_residual(action, x: float, t: float, system: SolvableSystem,
-                             dx: float = 1e-6, dt: float = 1e-6) -> float:
+def hamilton_jacobi_residual(action, x: float, t: float, system: SolvableSystem) -> float:
     """|dR/dt + (dR/dx)^2 / 2m + V| for a scalar action model R(x, t).
 
-    Partial derivatives are central differences, so any twice differentiable
-    callable works, analytic or tabulated.
+    Partial derivatives are central differences of step HJ_STEP, so any
+    twice differentiable callable works, analytic or tabulated.
     """
-    m = system.constants.mass
-    r_t = (action(x, t + dt) - action(x, t - dt)) / (2.0 * dt)
-    r_x = (action(x + dx, t) - action(x - dx, t)) / (2.0 * dx)
+    m, h = system.constants.mass, HJ_STEP
+    r_t = (action(x, t + h) - action(x, t - h)) / (2.0 * h)
+    r_x = (action(x + h, t) - action(x - h, t)) / (2.0 * h)
     v = float(system.potential(np.asarray(x)))
     return abs(r_t + r_x**2 / (2.0 * m) + v)
 
@@ -94,8 +97,7 @@ def _shoot(system: SolvableSystem, x1: float, p0: float, dt: float, tol: float):
                      dense_output=True)
 
 
-def van_vleck_1d(system: SolvableSystem, x1: float, x2: float, dt: float,
-                 tol: float = 1e-13) -> PropagatorValue:
+def van_vleck_1d(system: SolvableSystem, x1: float, x2: float, dt: float) -> PropagatorValue:
     """Semiclassical time propagator K(x2, x1; dt) for the free particle or the oscillator.
 
     Their flows are linear, so x(dt) is affine in the launch momentum p0 with
@@ -112,10 +114,10 @@ def van_vleck_1d(system: SolvableSystem, x1: float, x2: float, dt: float,
     hbar = system.constants.hbar
 
     caustic = "endpoint is conjugate to x1 (caustic)"
-    aim = _shoot(system, x1, 0.0, dt, tol=tol)
+    aim = _shoot(system, x1, 0.0, dt, tol=SHOT_TOL)
     if aim.y[2, -1] == 0.0:
         raise TurningPointError(caustic)
-    res = _shoot(system, x1, (x2 - aim.y[0, -1]) / aim.y[2, -1], dt, tol=tol)
+    res = _shoot(system, x1, (x2 - aim.y[0, -1]) / aim.y[2, -1], dt, tol=SHOT_TOL)
     jt = res.y[2, -1]
     if jt == 0.0:
         raise TurningPointError(caustic)
@@ -229,12 +231,11 @@ def semiclassical_green_1d(system: SolvableSystem, x1: float, x2: float, energy,
     return PropagatorValue(complex(terms.sum()), len(records), records)
 
 
-def exact_green_1d(system: SolvableSystem, x1: float, x2: float, energy,
-                   n_states: int = 4000) -> complex:
+def exact_green_1d(system: SolvableSystem, x1: float, x2: float, energy) -> complex:
     """Oracle Green function.
 
     Free particle: the retarded closed form -i m e^{i k |dx|} / (hbar^2 k).
-    Box: the eigenfunction expansion sum phi_n(x1) phi_n(x2) / (E - E_n),
+    Box: the eigenfunction expansion sum phi_n(x1) phi_n(x2) / (E - E_n) over GREEN_STATES modes,
     convergent for complex E and away from eigenvalues on the real axis.
     """
     hbar, m = system.constants.hbar, system.constants.mass
@@ -243,7 +244,7 @@ def exact_green_1d(system: SolvableSystem, x1: float, x2: float, energy,
         return -1j * m / (hbar**2 * k) * cmath.exp(1j * k * abs(x2 - x1))
     if system.kind == "box":
         L = system.lengths[0]
-        n = np.arange(1, n_states + 1)
+        n = np.arange(1, GREEN_STATES + 1)
         en = (hbar * math.pi * n) ** 2 / (2.0 * m * L * L)
         phi1 = math.sqrt(2.0 / L) * np.sin(n * math.pi * x1 / L)
         phi2 = math.sqrt(2.0 / L) * np.sin(n * math.pi * x2 / L)

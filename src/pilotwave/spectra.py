@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 PEAK_FLOOR = 0.05
+SHELL_FRACTION = 0.05  # `mean_level_density_mc` counts the shell |H - E| < E SHELL_FRACTION / 2
 
 
 def mean_level_density(system: SolvableSystem, energy: float) -> float:
@@ -60,19 +61,19 @@ def mean_level_density(system: SolvableSystem, energy: float) -> float:
 
 
 def mean_level_density_mc(system: SolvableSystem, energy: float, n_samples: int = 10**6,
-                          seed: int = 0, shell_width: float | None = None) -> float:
+                          seed: int = 0) -> float:
     """Monte Carlo estimate of the same quantity from the shell volume.
 
     Uniform samples in a phase-space bounding box; the density is the shell
-    count within |H - E| < shell_width / 2 divided by the shell width and
+    count within |H - E| < shell_width / 2, shell_width = SHELL_FRACTION E,
+    divided by the shell width and
     (2 pi hbar)^D.  Independent of the analytic formulas above.
     """
     hbar, m = system.constants.hbar, system.constants.mass
     d = system.dimension
     if energy <= 0.0:
         return 0.0
-    if shell_width is None:
-        shell_width = 0.05 * energy
+    shell_width = SHELL_FRACTION * energy
     e_top = energy + shell_width
     p_max = math.sqrt(2.0 * m * e_top)
     if system.kind == "harmonic":

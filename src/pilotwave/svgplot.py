@@ -15,6 +15,8 @@ __all__ = ["read_csv_columns", "emit_plot"]
 
 WIDTH, HEIGHT = 720, 520
 MARGIN = 64
+TICKS = 5  # labelled ticks per axis
+DOT_RADIUS = 2.0
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
 
 
@@ -36,11 +38,11 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi == lo:
         hi = lo + 1.0
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / (TICKS - 1)
+    return [lo + i * step for i in range(TICKS)]
 
 
 class _Canvas:
@@ -66,10 +68,11 @@ class _Canvas:
             f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
         )
 
-    def scatter(self, xs, ys, color, r=2.0):
+    def scatter(self, xs, ys, color):
         for a, b in zip(xs, ys):
             self.parts.append(
-                f'<circle cx="{_fmt(self.x(a))}" cy="{_fmt(self.y(b))}" r="{r}" fill="{color}"/>'
+                f'<circle cx="{_fmt(self.x(a))}" cy="{_fmt(self.y(b))}" r="{DOT_RADIUS}" '
+                f'fill="{color}"/>'
             )
 
     def vline(self, xv, color):

@@ -9,7 +9,6 @@ the diamagnetic Kepler system is purely classical here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,45 +206,19 @@ class DiamagneticSystem:
         return self.field_strength is not None
 
 
-_FIELDS = {"diamagnetic": {"kind", "epsilon", "energy", "field_strength"},
-           **dict.fromkeys(("free", "box", "harmonic"),
-                           {"kind", "hbar", "mass", "dimension", "lengths", "omegas"})}
-
-
-def _number(value, name: str, integral: bool = False):
-    """A spec-file number as a float, or an int when integral; DomainError otherwise (bools too)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral
-                                                 else numbers.Real):
-        raise DomainError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
-    return int(value) if integral else float(value)
-
-
 def system_from_dict(spec: dict) -> SolvableSystem | DiamagneticSystem:
-    """A system from its spec-file block.
+    """A system from a well-formed spec-file block (`config` checks one).
 
-    An unknown kind or field, a value that is not a number (an integer for
-    the dimension) and an incomplete diamagnetic block raise DomainError.
+    A diamagnetic block gives epsilon, or energy and field_strength;
+    omitted constants take the `SystemConstants` defaults.
     """
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if not isinstance(kind, str) or kind not in _FIELDS:
-        raise DomainError(f"unknown system kind {kind!r}")
-    for key in spec:
-        if key not in _FIELDS[kind]:
-            raise DomainError(f"unknown system field {key!r}")
-    try:
-        for key, value in spec.items():
-            if key != "kind":
-                for v in value if key in ("lengths", "omegas") else [value]:
-                    _number(v, key, key == "dimension")
-        if kind != "diamagnetic":
-            constants = SystemConstants(float(spec.get("hbar", 1.0)), float(spec.get("mass", 1.0)),
-                                        int(spec.get("dimension", 1)))
-            return SolvableSystem(kind, constants, tuple(spec.get("lengths", ())),
-                                  tuple(spec.get("omegas", ())))
-        if "epsilon" in spec:
-            return DiamagneticSystem.scaled(spec["epsilon"])
-        if "energy" in spec and "field_strength" in spec:
-            return DiamagneticSystem.from_physical(spec["energy"], spec["field_strength"])
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"malformed system field: {exc}") from exc
+    if spec["kind"] != "diamagnetic":
+        constants = SystemConstants(spec.get("hbar", 1.0), spec.get("mass", 1.0),
+                                    spec.get("dimension", 1))
+        return SolvableSystem(spec["kind"], constants, tuple(spec.get("lengths", ())),
+                              tuple(spec.get("omegas", ())))
+    if spec.get("epsilon") is not None:
+        return DiamagneticSystem.scaled(spec["epsilon"])
+    if spec.get("energy") is not None and spec.get("field_strength") is not None:
+        return DiamagneticSystem.from_physical(spec["energy"], spec["field_strength"])
     raise DomainError("diamagnetic needs epsilon or (energy, field_strength)")

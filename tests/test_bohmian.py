@@ -166,6 +166,22 @@ def test_symmetry_replication(box2d):
     assert np.max(np.abs(a[:, 1] - b[:, 1])) < 1e-7
 
 
+@pytest.mark.parametrize("state, x0", [("two_mode_box", [0.3, 0.4]),
+                                       ("chaotic_aniso_state", [-0.4])])
+@pytest.mark.parametrize("run", [lambda sup, x0: bm.integrate_bohmian(sup, x0, (0.0, 1.0)),
+                                 lambda sup, x0: bm.bohmian_lyapunov(sup, x0, 1.0)],
+                         ids=["trajectory", "lyapunov"])
+def test_start_point_of_another_dimension_rejected(request, state, x0, run):
+    with pytest.raises(DomainError):
+        run(request.getfixturevalue(state), x0)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0])
+def test_bohmian_lyapunov_needs_a_positive_horizon(two_mode_box, horizon):
+    with pytest.raises(DomainError):
+        bm.bohmian_lyapunov(two_mode_box, [0.3], horizon)
+
+
 def test_bohmian_lyapunov_stationary(ho1d):
     sup = qm.Superposition.of(ho1d, [(1.0, 2)])
     est = bm.bohmian_lyapunov(sup, [0.7], horizon=20.0)

@@ -143,6 +143,13 @@ def test_lyapunov_zero_for_integrable(ho1d, ho2d_aniso):
     assert 0.0 <= d2.coverage_fraction <= 1.0
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0])
+def test_lyapunov_needs_a_positive_horizon(horizon):
+    with pytest.raises(DomainError):
+        cl.lyapunov_exponent(sy.DiamagneticSystem.scaled(-1.0), cl.launch_from_nucleus(0.9),
+                             horizon)
+
+
 def test_lyapunov_regime_contrast():
     chaotic = cl.lyapunov_exponent(sy.DiamagneticSystem.scaled(-0.15),
                                    cl.launch_from_nucleus(0.9), horizon=150.0, tol=1e-8)

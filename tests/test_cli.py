@@ -9,7 +9,7 @@ import pytest
 from pilotwave import cli
 from pilotwave import svgplot
 from pilotwave.config import build_system, load_scenario, validate_scenario
-from pilotwave.errors import ConfigError, DomainError
+from pilotwave.errors import ConfigError
 from pilotwave.runner import compare_report, run_scenario
 
 
@@ -47,9 +47,10 @@ def test_minimal_classical_scenario(tmp_path):
 
 def test_bad_section_plane_rejected_before_the_run(tmp_path):
     cfg = _write(tmp_path / "c.json", _classical_doc(section={"index": 2}))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError) as err:
         run_scenario(cfg, out_dir=tmp_path / "out")
-    assert not (tmp_path / "out" / "trajectory.csv").exists()
+    assert err.value.field == "run.section.index"
+    assert not (tmp_path / "out").exists()
 
 
 def test_determinism_identical_checksums(tmp_path):
@@ -106,47 +107,87 @@ def test_build_system_validation():
         build_system({"kind": "pendulum"})
 
 
-def _bohmian_doc(x0=(0.3,), n=(1,)):
+def _bohmian_doc(x0=(0.3,), n=(1,), **run_extra):
     state = _box_state()
     state["terms"][0]["n"] = list(n)
     return {"schema": 1, "name": "bohm", "kind": "bohmian", "state": state,
-            "run": {"x0": list(x0), "t1": 1.0}}
+            "run": {"x0": list(x0), "t1": 1.0, **run_extra}}
 
 
+def _run_doc(kind, run, block=None):
+    return {"schema": 1, "name": kind, "kind": kind, **(block or {}), "run": run}
+
+
+def _ensemble_doc(**run_extra):
+    return _run_doc("ensemble", {"n": 100, "seed": 11, "t1": 0.4, **run_extra},
+                    {"state": _box_state()})
+
+
+def _recurrence_doc(samples):
+    return _run_doc("recurrence", {"t_max": 10.0, "samples": samples}, {"state": _box_state()})
+
+
+def _trace_doc(**run_extra):
+    return _run_doc("trace", {"e_min": 1.0, "e_max": 5.0, "n_grid": 50, "repetitions": 2,
+                              "gamma": 0.1, **run_extra},
+                    {"system": {"kind": "harmonic", "omegas": [1.0]}})
+
+
+# case -> (scenario, the JSON path its config error names)
 _MALFORMED = {
-    "classical-epsilon": {**_classical_doc(), "system": {"kind": "diamagnetic", "epsilon": "abc"}},
-    "trace-hbar": {"schema": 1, "name": "tr", "kind": "trace",
-                   "system": {"kind": "harmonic", "hbar": "x", "omegas": [1.0]},
-                   "run": {"e_min": 1.0, "e_max": 5.0, "n_grid": 50, "repetitions": 2,
-                           "gamma": 0.1}},
-    "bohmian-quantum-number": _bohmian_doc(n=["x"]),
-    "bohmian-quantum-number-fraction": _bohmian_doc(n=[2.7]),
-    "bohmian-quantum-number-bool": _bohmian_doc(n=[True]),
-    "bohmian-dimension-fraction": _bohmian_doc() | {"state": _box_state() | {
-        "system": {"kind": "box", "dimension": 1.9, "lengths": [1.0]}}},
-    "bohmian-hbar-string": _bohmian_doc() | {"state": _box_state() | {
-        "system": {"kind": "box", "hbar": "2", "lengths": [1.0]}}},
-    "bohmian-length-string": _bohmian_doc() | {"state": _box_state() | {
-        "system": {"kind": "box", "lengths": ["1.0"]}}},
-    "bohmian-coefficient-bool": _bohmian_doc() | {"state": _box_state() | {
-        "terms": [{"c_re": True, "c_im": 0.0, "n": [1]}]}},
-    "classical-epsilon-bool": {**_classical_doc(), "system": {"kind": "diamagnetic",
-                                                              "epsilon": True}},
-    "bohmian-x0": _bohmian_doc(x0=["q"]),
-    "ensemble-empty": {"schema": 1, "name": "ens", "kind": "ensemble", "state": _box_state(),
-                       "run": {"n": 0, "seed": 11, "t1": 0.4}},
-    "ensemble-negative": {"schema": 1, "name": "ens", "kind": "ensemble",
-                          "state": _box_state(), "run": {"n": -3, "seed": 11, "t1": 0.4}},
+    "classical-epsilon": ({**_classical_doc(), "system": {"kind": "diamagnetic",
+                                                          "epsilon": "abc"}}, "system.epsilon"),
+    "trace-hbar": (_trace_doc() | {"system": {"kind": "harmonic", "hbar": "x", "omegas": [1.0]}},
+                   "system.hbar"),
+    "bohmian-quantum-number": (_bohmian_doc(n=["x"]), "state.terms[0].n[0]"),
+    "bohmian-quantum-number-fraction": (_bohmian_doc(n=[2.7]), "state.terms[0].n[0]"),
+    "bohmian-quantum-number-bool": (_bohmian_doc(n=[True]), "state.terms[0].n[0]"),
+    "bohmian-dimension-fraction": (_bohmian_doc() | {"state": _box_state() | {
+        "system": {"kind": "box", "dimension": 1.9, "lengths": [1.0]}}}, "state.system.dimension"),
+    "bohmian-hbar-string": (_bohmian_doc() | {"state": _box_state() | {
+        "system": {"kind": "box", "hbar": "2", "lengths": [1.0]}}}, "state.system.hbar"),
+    "bohmian-length-string": (_bohmian_doc() | {"state": _box_state() | {
+        "system": {"kind": "box", "lengths": ["1.0"]}}}, "state.system.lengths[0]"),
+    "bohmian-coefficient-bool": (_bohmian_doc() | {"state": _box_state() | {
+        "terms": [{"c_re": True, "c_im": 0.0, "n": [1]}]}}, "state.terms[0].c_re"),
+    "classical-epsilon-bool": ({**_classical_doc(), "system": {"kind": "diamagnetic",
+                                                               "epsilon": True}}, "system.epsilon"),
+    "bohmian-x0": (_bohmian_doc(x0=["q"]), "run.x0[0]"),
+    "ensemble-empty": (_ensemble_doc(n=0), "run.n"),
+    "ensemble-negative": (_ensemble_doc(n=-3), "run.n"),
+    # values that ran, or failed in the middle of a run, before the bounds were checked at load
+    "bohmian-x0-length": (_bohmian_doc(x0=(0.3, 0.4)), "run.x0"),
+    "bohmian-horizon-zero": (_bohmian_doc(lyapunov={"horizon": 0.0}), "run.lyapunov.horizon"),
+    "bohmian-horizon-negative": (_bohmian_doc(lyapunov={"horizon": -1.0}),
+                                 "run.lyapunov.horizon"),
+    "classical-horizon-zero": (_classical_doc(lyapunov={"horizon": 0.0}), "run.lyapunov.horizon"),
+    "recurrence-samples-zero": (_recurrence_doc(0), "run.samples"),
+    "recurrence-samples-one": (_recurrence_doc(1), "run.samples"),
+    "trace-n-grid-zero": (_trace_doc(n_grid=0), "run.n_grid"),
+    "trace-repetitions-negative": (_trace_doc(repetitions=-1), "run.repetitions"),
+    "ensemble-bins-zero": (_ensemble_doc(bins=0), "run.bins"),
+    "ensemble-seed-negative": (_ensemble_doc(seed=-1), "run.seed"),
+    "compare-input-number": (_run_doc("compare", {"inputs": [3]}), "run.inputs[0]"),
+    "classical-section-index": (_classical_doc(section={"index": 2}), "run.section.index"),
+    "output-dir-number": (_classical_doc() | {"output_dir": 5}, "output_dir"),
+    "state-terms-object": (_bohmian_doc() | {"state": _box_state() | {
+        "terms": {"c_re": 1.0, "c_im": 0.0, "n": [1]}}}, "state.terms"),
+    "system-kind-list": ({**_classical_doc(), "system": {"kind": ["diamagnetic"]}},
+                         "system.kind"),
+    "classical-angle-nan": (_classical_doc(launch_angle=math.nan), "run.launch_angle"),
+    "trace-free-system": (_trace_doc() | {"system": {"kind": "free"}}, "system.kind"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_values_are_config_errors(tmp_path, capsys, case):
-    """A value of the wrong kind or range exits 2 before the output directory is made."""
-    cfg = _write(tmp_path / "s.json", _MALFORMED[case])
+    """A value of the wrong kind or range exits 2, naming its JSON path, before the
+    output directory is made."""
+    doc, path = _MALFORMED[case]
+    cfg = _write(tmp_path / "s.json", doc)
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error")
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from pilotwave import quantum as qm
 from pilotwave import systems as sy
+from pilotwave.config import build_state
 from pilotwave.errors import DomainError, NodeSingularityError
 
 
@@ -242,7 +243,8 @@ def test_spec_file_round_trip(tmp_path, two_mode_box_complex):
     path = tmp_path / "state.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(d, fh)
-    back = qm.load_superposition(path)
+    with open(path, encoding="utf-8") as fh:
+        back = build_state(json.load(fh))
     assert back.system == two_mode_box_complex.system
     assert np.allclose(back.coefficients, two_mode_box_complex.coefficients)
 
