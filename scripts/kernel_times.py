@@ -13,6 +13,8 @@ least mean time per call is printed, in microseconds:
 - guidance Jacobian: `bohmian._guidance_jacobian` there, the tangent run;
 - batched guidance: `bohmian._guidance` on 10^5 points of the
   `ensemble-batch` two-mode box state, one call;
+- batched amplitude: |psi| at the same points from the order-0 sums
+  (`quantum._batched` at order 0), what the sampler and the node finder read;
 - diamagnetic rhs: `classical._diamagnetic_rhs` at eps = -0.15, one call.
 
 The one-point kernels run on the criterion-8 state (2D anisotropic
@@ -53,6 +55,8 @@ def kernels() -> list[tuple[str, object, int]]:
         ("amplitude only", lambda: bohmian._point_amplitude(aniso, point, t), 1000),
         ("guidance Jacobian", lambda: bohmian._guidance_jacobian(aniso, point, t), 1000),
         ("batched guidance, 1e5 points", lambda: bohmian._guidance(box, members, 0.3), 2),
+        ("batched amplitude, 1e5 points",
+         lambda: np.abs(quantum._batched(box, members[:, 0], 0.3, 0)), 2),
         ("diamagnetic rhs", lambda: rhs(0.0, state), 1000),
     ]
 

@@ -21,13 +21,15 @@ from .csvio import write_csv
 from .errors import DomainError, NodeSingularityError, PilotwaveError
 from .integrate import DenseOutput, solve_ivp
 from .quantum import (
-    _ARRAY,
-    _SCALAR,
     NODE_THRESHOLD_FACTOR,
     Superposition,
+    _batched,
+    _block_sums,
     _map_chunks,
     _polar,
+    _sums,
     _term_sum,
+    _work,
     amplitude_scale,
     evaluate_wavefunction,
     phase_gradient,
@@ -50,33 +52,42 @@ __all__ = [
 CIRCULATION_GUARD_FACTOR = 1e-7
 CIRCULATION_TOL = 1e-6  # relative to 2 pi hbar / m, the circulation quantum
 GRAD_STEP = 1e-5  # central-difference step of grad Q in `newtonian_residual`
+HYPOT_FLOOR = 1e-300  # least Re^2 + Im^2 psi whose square root is within an ulp of |psi|
 
 
-def _guidance(sup: Superposition, x, t):
+def _guidance(sup: Superposition, x, t, amp=None):
     """(v, |psi|) at points x of shape (D,) or (N, D), with no node guard.
 
     t is one time or one per point.  Box points are evaluated 1e-12 L inside
     the walls (`_held_inside`): trial stages of a step may poke just outside,
     and the exact flow cannot leave the domain.  One point (shape (D,)) goes
     through `_point_guidance` in Python floats; N points through
-    `_guidance_block`, `CHUNK` points at a time.
+    `_guidance_block`, `CHUNK` points at a time, |psi| into `amp` if given
+    and v always into a new array.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         v, amp = _point_guidance(sup, x.tolist(), float(t))
         return np.array(v), amp
-    return _map_chunks(partial(_guidance_block, sup), x, t, (np.empty(x.shape), np.empty(len(x))))
+    block = partial(_guidance_block, sup, _work(sup, 1, len(x), t, 1 + x.shape[1]))
+    return _map_chunks(block, x, t, (np.empty(x.shape), np.empty(len(x)) if amp is None else amp))
 
 
-def _guidance_block(sup: Superposition, x, t, v, amp):
-    """v and |psi| at the rows of x (one point each), box rows held inside, written into v and amp."""
-    system = sup.system
-    p = _held_inside(system, x.T)
-    d = system.dimension
-    psi, grad, _ = evaluate_wavefunction(sup, p[0] if d == 1 else np.transpose(p), t)
-    np.divide(phase_gradient(psi, grad[:, None] if d == 1 else grad, system.constants.hbar),
-              system.constants.mass, out=v)
-    np.abs(psi, out=amp)
+def _guidance_block(sup: Superposition, work, x, t, v, amp):
+    """v and |psi| at the rows of x (one point each), box rows held inside, unchecked:
+    v = (hbar/m) (Re psi Im grad psi - Im psi Re grad psi) / (Re^2 psi + Im^2 psi) in place
+    from the order-1 sums, and |psi| its square root (np.hypot if the sum under- or overflows)."""
+    psi, *grad = _block_sums(sup, work, _held_inside(sup.system, x.T), t)
+    pair, den = work.pair[:, :len(amp)], work.row[:len(amp)]
+    np.add(*np.multiply(psi, psi, out=pair), out=den)
+    if den.min() >= HYPOT_FLOOR and den.max() < math.inf:
+        np.sqrt(den, out=amp)
+    else:  # underflow, overflow or NaN
+        np.hypot(*psi, out=amp)
+    q = sup.system.constants.hbar / sup.system.constants.mass
+    for vi, g in zip(v.T, grad):
+        np.subtract(*np.multiply(psi, g[::-1], out=pair), out=vi)
+        np.divide(np.multiply(vi, q, out=vi), den, out=vi)
 
 
 def _held_inside(system, p):
@@ -133,8 +144,13 @@ def _guidance_jacobian(sup: Superposition, p, t):
     the Hessian of psi.
     """
     system = sup.system
-    lib = _ARRAY if isinstance(p[0], np.ndarray) else _SCALAR
-    psi, gx, gy, hxx, hxy, hyy = _term_sum(sup, _held_inside(system, p), t, 2, lib)
+    p = _held_inside(system, p)
+    if isinstance(p[0], np.ndarray):  # the order-2 array sums, a 1D state's y parts zero
+        outs = [np.empty(len(p[0]), dtype=complex) for _ in range(3 * len(p))]
+        sums = _sums(sup, np.transpose(p), t, 2, outs)
+        psi, gx, gy, hxx, hyy, hxy = sums if len(p) == 2 else (*sums[:2], 0j, sums[2], 0j, 0j)
+    else:
+        psi, gx, gy, hxx, hxy, hyy = _term_sum(sup, p, t, 2)
     q = system.constants.hbar / system.constants.mass
     inv = 1.0 / psi
     ax, ay = gx * inv, gy * inv
@@ -388,7 +404,7 @@ def circulation(sup: Superposition, loop, t: float) -> CirculationResult:
     for a, b in zip(loop[:-1], loop[1:]):
         ss = np.linspace(0.0, 1.0, 64)
         pts = a[None, :] + ss[:, None] * (b - a)[None, :]
-        amp = np.abs(evaluate_wavefunction(sup, pts, t)[0])
+        amp = np.abs(_batched(sup, pts, t, 0))
         if np.min(amp) < guard:
             raise NodeSingularityError(pts[np.argmin(amp)], t, float(np.min(amp)),
                                        "loop intersects node guard band; reroute failed")

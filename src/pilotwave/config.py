@@ -4,18 +4,19 @@ A table maps each field of a block to (type, default, bound).  A type is
 float (any finite number), int, str, [type] (a list of that type), a nested table,
 or (key, tables): the table that the block names at `key`, a dotted path
 inside it.  A default of `...` marks a required field; a bound is
-(operator, limit), for each item of a list.  `_walk` rejects unknown and
-missing fields, wrong types and values out of bounds with a ConfigError
-naming the JSON path (`state.terms[1].n[0]: expected an integer`), and
-`validate_scenario` builds the system or state, all before any output is
-made.  Scenario files carry a `schema` version for forward compatibility.
+(operator, limit), for each item of a list, except ("items", n): at least
+n items.  `_walk` rejects unknown and missing fields, wrong types and values
+out of bounds with a ConfigError naming the JSON path
+(`state.terms[1].n[0]: expected an integer`), and `validate_scenario` builds
+the system or state last, all before any output is made.  Scenario files
+carry a `schema` version for forward compatibility.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
@@ -92,7 +93,7 @@ KINDS = {
         "repetitions": (int, ..., (">=", 0)),
         "gamma": (float, ..., POSITIVE),
     }, "system", _systems("box", "harmonic")),
-    "compare": ({"inputs": ([str], ..., None)}, None, None),
+    "compare": ({"inputs": ([str], ..., ("items", 1))}, None, None),
 }
 _SCENARIO = "kind", {kind: {
     "schema": (int, ..., ("in", (SCHEMA_VERSION,))),
@@ -115,11 +116,16 @@ def _walk(path: str, value, expected, bound=None):
     if isinstance(expected, list):
         if not isinstance(value, list):
             raise ConfigError(path, f"expected a list, got {value!r}")
+        if bound and bound[0] == "items":
+            if len(value) < bound[1]:
+                raise ConfigError(path, f"expected at least {bound[1]} item(s), got {value!r}")
+            bound = None
         return [_walk(f"{path}[{i}]", v, expected[0], bound) for i, v in enumerate(value)]
     if isinstance(expected, type):
         name, accepted = _TYPES[expected]
+        # abs(value) <= max is False for inf, nan and an integer too large for a float
         if isinstance(value, bool) or not isinstance(value, accepted) or (
-                expected is float and not math.isfinite(value)):
+                expected is float and not abs(value) <= sys.float_info.max):
             raise ConfigError(path, f"expected {name}, got {value!r}")
         if bound is not None and not _BOUNDS[bound[0]](value, bound[1]):
             raise ConfigError(path, f"must be {bound[0]} {bound[1]}, got {value!r}")
@@ -172,12 +178,13 @@ class Scenario:
 def validate_scenario(doc: dict) -> Scenario:
     """Check every field of a scenario document and build its system or state."""
     checked = _walk("", doc, _SCENARIO)
+    run = checked["run"]
+    if "x0" in run and len(run["x0"]) != (d := checked["state"]["system"]["dimension"]):
+        raise ConfigError("run.x0", f"expected {d} coordinate(s), got {len(run['x0'])}")
+    # built last, so that no warning of a builder comes before a config error
     built = {block: _built(block, builder, checked[block])
              for block, builder in _BUILDERS.items() if block in checked}
-    run, state = checked["run"], built.get("state")
-    if "x0" in run and len(run["x0"]) != state.system.dimension:
-        raise ConfigError("run.x0", f"expected {state.system.dimension} coordinate(s), "
-                                    f"got {len(run['x0'])}")
+    state = built.get("state")
     return Scenario(name=checked["name"], kind=checked["kind"], system=built.get("system"),
                     state=state, run=run, output_dir=checked["output_dir"], raw=doc)
 

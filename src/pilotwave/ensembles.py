@@ -9,15 +9,14 @@ equation (equivariance).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .bohmian import _guidance_block, _node_threshold, integrate_bohmian
+from .bohmian import _guidance, _node_threshold, integrate_bohmian
 from .csvio import write_csv
 from .errors import DomainError, IntegrationError, PilotwaveError
-from .quantum import Superposition, _map_chunks, _psi_grid, effective_domain, evaluate_wavefunction
+from .quantum import Superposition, _batched, _psi_grid, effective_domain
 
 __all__ = [
     "Ensemble",
@@ -53,7 +52,7 @@ class Ensemble:
 
 
 def _density_batch(sup: Superposition, pts: np.ndarray, t: float) -> np.ndarray:
-    return np.abs(evaluate_wavefunction(sup, pts, t)[0]) ** 2
+    return np.abs(_batched(sup, pts, t, 0)) ** 2
 
 
 def sample_quantum_equilibrium(sup: Superposition, t: float, n: int, seed: int) -> Ensemble:
@@ -131,11 +130,10 @@ def _stacked(positions: np.ndarray, sup: Superposition, t0: float, t1: float, to
     floor = _node_threshold(sup) * 1e3
     flagged: dict[int, dict] = {}
     amp = np.empty(n)
-    block = partial(_guidance_block, sup)
 
     def rhs(t, y):
         pts = y.reshape(n, d)
-        v, _ = _map_chunks(block, pts, t, (np.empty((n, d)), amp))
+        v, _ = _guidance(sup, pts, t, amp)
         bad = amp < floor
         if bad.any():
             for idx in np.nonzero(bad)[0]:

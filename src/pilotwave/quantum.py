@@ -10,12 +10,14 @@ quantity.
 `evaluate_wavefunction` reads every term from one mode ladder per box or
 oscillator axis, up to that axis's highest quantum number: one exp and one
 Hermite recurrence, or one sin/cos pair and angle addition for n theta.
-One point at one time, the case of every guidance-law step, runs the
-ladders in Python scalars (`_term_sum`, which the guidance flow calls for
-just what it reads), where numpy's per-call overhead would cost more than
-the arithmetic.  Arrays run in blocks of `CHUNK` points, each a real
-(terms, points) table per quantity times the real and imaginary parts of
-the weights c_k exp(-i E_k t / hbar).  Both agree with the per-term
+Each path accumulates only the derivative order its caller reads: psi
+(order 0), plus grad psi (1), plus the Hessian (2).  One point at one
+time, the case of every guidance-law step, runs the ladders in Python
+scalars (`_term_sum`), where numpy's per-call overhead would cost more
+than the arithmetic.  Arrays run in blocks of `CHUNK` points
+(`_block_sums`): each term adds Re w_k f_k and Im w_k f_k, w_k =
+c_k exp(-i E_k t / hbar) and f_k a real product of ladder rows, into real
+accumulators of scratch rows made once per call.  Both agree with the per-term
 `eigenfunction` to 1e-12 of the term sizes sum |c_n f_n(x)|, except that
 near its zeros (a wall, an interior node) a box mode is known only to a few
 ulps of its largest value on every path, as each rounds the sine's argument.
@@ -152,11 +154,9 @@ def _box_ladder(axis, x, lib, order=2):
 
     Derivatives above `order` are left None.  sin and cos of n theta come
     from one sin/cos pair by angle addition; index 0 is a placeholder, box
-    modes start at 1.
+    modes start at 1.  x is not checked against the box (`_check_box`).
     """
-    L, k1, a, rungs = axis
-    if lib.any((x < 0) | (x > L)):
-        raise DomainError("position outside box domain")
+    _, k1, a, rungs = axis
     theta = k1 * x
     s, c = s1, c1 = lib.sincos(theta)
     modes = [(0.0, 0.0, 0.0)]
@@ -203,18 +203,26 @@ _UNIT_AXIS = (lambda axis, x, lib, order: ((1.0, 0.0, 0.0),), None)
 
 
 def _half_angle(theta):
-    """(sin, cos) of theta in [0, pi] from t = tan(theta / 2): within an ulp of np.sin
-    and np.cos there, and about a quarter of their time (measured with numpy 2.4)."""
-    t = np.tan(0.5 * theta)
+    """(sin, cos) of theta in [0, pi] from t = tan(theta / 2), overwriting theta: within an
+    ulp of np.sin and np.cos there, and about a quarter of their time (numpy 2.4)."""
+    t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
     t2 = t * t
-    d = 1.0 + t2
-    return 2.0 * t / d, (1.0 - t2) / d
+    d = t2 + 1.0
+    t += t  # 2 t, exactly
+    return np.divide(t, d, out=t), np.divide(np.subtract(1.0, t2, out=t2), d, out=t2)
 
 
-# what the ladders and `_term_sum` call: Python scalars at one point, numpy for arrays
+# what the ladders (and the tests' reference loops) call: Python scalars, or numpy for arrays
 _SCALAR = SimpleNamespace(sincos=lambda x: (math.sin(x), math.cos(x)), exp=math.exp,
-                          cexp=cmath.exp, any=bool)
-_ARRAY = SimpleNamespace(sincos=_half_angle, exp=np.exp, cexp=np.exp, any=np.any)
+                          cexp=cmath.exp)
+_ARRAY = SimpleNamespace(sincos=_half_angle, exp=np.exp, cexp=np.exp)
+
+
+def _check_box(system: SolvableSystem, x):
+    """DomainError if a coordinate of x (points on a trailing axis in 2D) is outside the box."""
+    x = np.asarray(x)
+    if system.kind == "box" and np.any((x < 0) | (x > np.asarray(system.lengths))):
+        raise DomainError("position outside box domain")
 
 
 def eigenfunction(system: SolvableSystem, state: EigenstateRef, x):
@@ -231,9 +239,8 @@ def eigenfunction(system: SolvableSystem, state: EigenstateRef, x):
         grad = 1j * k[0] * value if d == 1 else 1j * k * value[..., None]
         return value, grad, -float(k @ k) * value
     coords = [x] if d == 1 else [x[..., 0], x[..., 1]]
+    _check_box(system, x)
     if system.kind == "box":
-        if np.any((x < 0) | (x > np.asarray(system.lengths))):
-            raise DomainError("position outside box domain")
         parts = list(map(_box_axis, n, system.lengths, coords))
     else:
         parts = [_harmonic_axis(ni, w, system.constants, xi)
@@ -321,7 +328,8 @@ def evaluate_wavefunction(sup: Superposition, x, t):
     One finite point at one time (x a float or 0-d in 1D, two floats or
     shape (2,) in 2D) is summed in Python scalars; a Python float, or a
     list of two, at a Python-float time goes there without numpy.  Arrays
-    go through `_fill_block`, `CHUNK` points at a time.
+    go through `_block_sums`, `CHUNK` points at a time.  DomainError if a
+    box point lies outside the box.
     """
     d = sup.system.dimension
     if type(t) is float and (type(x) is float if d == 1 else
@@ -332,24 +340,24 @@ def evaluate_wavefunction(sup: Superposition, x, t):
         if np.ndim(t) or x.shape != ((2,) if d == 2 else ()):
             return _batched(sup, x, t)
         point, t = (x.tolist() if d == 2 else [float(x)]), float(t)
+    _check_box(sup.system, point)
     if math.isfinite(t) and all(map(math.isfinite, point)):
         psi, gx, gy, hxx, _, hyy = _term_sum(sup, point, t, 2)
         return (psi, gx, hxx) if d == 1 else (psi, np.array([gx, gy]), hxx + hyy)
     return _batched(sup, np.asarray(point[0] if d == 1 else point, dtype=float), t)
 
 
-def _term_sum(sup: Superposition, point, t, order: int, lib=_SCALAR):
+def _term_sum(sup: Superposition, point, t: float, order: int):
     """(psi, d_x psi, d_y psi, d_xx psi, d_xy psi, d_yy psi), zero above derivative `order`.
 
-    At one point of D Python floats at a Python-float time, or with
-    lib=_ARRAY at M points of D arrays (t one time or one per point): one
-    pass over the terms adds w_k = c_k exp(-i E_k t / hbar) times each part
-    of a term into its own accumulator.  A 1D state's y entries are zeros
-    (`_UNIT_AXIS`: factors 1.0 and 0.0, which change none of its sums).
+    At one point of D Python floats at a Python-float time, unchecked
+    against the box: one pass over the terms adds w_k = c_k exp(-i E_k t / hbar)
+    times each part of a term into its own accumulator.  A 1D state's y
+    entries are zeros (`_UNIT_AXIS`: factors 1.0 and 0.0, which change none
+    of its sums).
     """
     axes, terms = sup._plan
-    hbar = sup.system.constants.hbar
-    cexp = lib.cexp
+    hbar, cexp = sup.system.constants.hbar, cmath.exp
     # -0j adds exactly, 0.0 turns an exact -0.0 to +0.0: each order keeps its callers' zeros
     psi = gx = gy = hxx = hxy = hyy = 0.0 if order > 1 else -0j
     if not axes:  # free: plane waves exp(i k . x), parts v, i k_i v and -k_i k_j v
@@ -365,7 +373,7 @@ def _term_sum(sup: Superposition, point, t, order: int, lib=_SCALAR):
                 hyy += w * (-ky * ky * v)
         return psi, gx, gy, hxx, hxy, hyy
     (ladder_x, cx), (ladder_y, cy) = axes
-    tx, ty = ladder_x(cx, point[0], lib, order), ladder_y(cy, point[-1], lib, order)
+    tx, ty = ladder_x(cx, point[0], _SCALAR, order), ladder_y(cy, point[-1], _SCALAR, order)
     for c, energy, (i, j) in terms:
         w = c * cexp(-1j * (energy * t / hbar))
         (vx, dx, lx), (vy, dy, ly) = tx[i], ty[j]
@@ -377,73 +385,93 @@ def _term_sum(sup: Superposition, point, t, order: int, lib=_SCALAR):
     return psi, gx, gy, hxx, hxy, hyy
 
 
-def _batched(sup: Superposition, x: np.ndarray, t):
-    """`evaluate_wavefunction` on an array of points, `CHUNK` points per `_fill_block`."""
+def _batched(sup: Superposition, x: np.ndarray, t, order: int = 2):
+    """`evaluate_wavefunction` on an array of points, or psi alone at order 0."""
+    _check_box(sup.system, x)
     d = sup.system.dimension
     shape = x.shape[:x.ndim + 1 - d]  # the points: all of x in 1D, all but the last axis in 2D
     n = math.prod(shape)
-    psi, grad, lap = _map_chunks(
-        partial(_fill_block, sup), x.reshape(n, d),
-        np.broadcast_to(t, shape).reshape(n) if np.ndim(t) else t,
-        (np.empty(n, dtype=complex), np.empty((n, d), dtype=complex), np.empty(n, dtype=complex)))
+    rows, t = x.reshape(n, d), np.broadcast_to(t, shape).reshape(n) if np.ndim(t) else t
+    psi = np.empty(n, dtype=complex)
     # [()] turns the 0-d results of a single point into numpy scalars
+    if not order:
+        return _sums(sup, rows, t, 0, [psi])[0].reshape(shape)[()]
+    grad, lap = np.empty((n, d), dtype=complex), np.empty(n, dtype=complex)
+    hyy = [np.empty(n, dtype=complex)] if d == 2 else []
+    # order 2 without the mixed derivative: lap psi is d_xx psi, plus d_yy psi in 2D
+    _sums(sup, rows, t, 2, [psi, *grad.T, lap, *hyy])
+    for extra in hyy:
+        lap += extra
     return psi.reshape(shape)[()], grad.reshape(x.shape)[()], lap.reshape(shape)[()]
 
 
-def _fill_block(sup: Superposition, x, t, psi, grad, lap):
-    """psi, grad psi and lap psi at the rows of x, written into the given rows.
-
-    Each is sum_k w_k f_k, w_k = c_k exp(-i E_k t / hbar), f_k a real row of
-    `_term_tables`: at one time one (points, terms) x (terms, 2) product with
-    [Re w, Im w] into the real and imaginary parts of the output; with one
-    time per point a (terms, points) array of weights, summed term by term.
-    """
-    per_point = np.ndim(t) > 0
-    c = sup.coefficients[:, None] if per_point else sup.coefficients
-    w = c * np.exp(-1j * (np.multiply.outer(sup.energies, t) / sup.system.constants.hbar))
-    if sup.system.kind == "free":  # a cos row and a sin row per term
-        w = np.concatenate([w, 1j * w])
-    tables = _term_tables(sup, x)
-    if per_point:
-        for f, out in zip(tables, [psi, *grad.T, lap]):
-            np.sum(w * f, axis=0, out=out)
-        return
-    w = w.view(float).reshape(-1, 2)
-    outs = [psi.view(float).reshape(-1, 2),
-            *grad.view(float).reshape(len(x), -1, 2).transpose(1, 0, 2),
-            lap.view(float).reshape(-1, 2)]
-    for f, out in zip(tables, outs):
-        np.matmul(f.T, w, out=out)
-
-
-def _term_tables(sup: Superposition, x):
-    """Real (terms, points) tables of the value, each gradient component and the laplacian.
-
-    Box and oscillator terms read the per-axis ladders; a free plane wave
-    exp(i k.x) gives a row cos(k.x) (weight w) and a row sin(k.x) (weight i w).
-    """
-    axes, terms = sup._plan
-    if not axes:
-        k = np.array([n for _, _, n in terms])
-        phase = k @ x.T
-        cos, sin, k2 = np.cos(phase), np.sin(phase), -np.sum(k * k, axis=1)[:, None]
-        return [np.concatenate(pair) for pair in
-                [(cos, sin), *((-ki[:, None] * sin, ki[:, None] * cos) for ki in k.T),
-                 (k2 * cos, k2 * sin)]]
-    modes = [ladder(constants, xi, _ARRAY) for (ladder, constants), xi in zip(axes, x.T)]
-    per_axis = [[np.array([m[n[i]][q] for _, _, n in terms]) for q in range(3)]
-                for i, m in enumerate(modes)]
-    if len(per_axis) == 1:
-        return per_axis[0]
-    (vx, gx, lx), (vy, gy, ly) = per_axis
-    return [vx * vy, gx * vy, vx * gy, lx * vy + vx * ly]
-
-
-# rows per block of a batched evaluation: 64 KiB per complex array, below
-# glibc's 128 KiB mmap threshold, so a block's temporaries reuse freed memory
-# instead of faulting in fresh pages (8192 rows faulted in 12x the pages on a
-# 2D four-term state), and no full-size term table exists
+# rows per block of a batched evaluation: 32 KiB per real row, 64 KiB per
+# [Re, Im] pair, below glibc's 128 KiB mmap threshold, so a block's temporaries
+# reuse freed memory instead of faulting in fresh pages (8192 rows faulted in
+# about 40x the pages of a 2D four-term guidance call)
 CHUNK = 4096
+
+
+def _weights(sup: Superposition, t):
+    """(w_k, [Re w_k, Im w_k] as rows) per term, w_k = c_k exp(-i E_k t / hbar): complex
+    scalars and (2, 1) rows at one time, arrays and (2, M) row views at one time per point."""
+    hbar = sup.system.constants.hbar
+    return [(w, np.atleast_1d(w).view(float).reshape(-1, 2).T)
+            for w in (c * np.exp(-1j * (energy * t / hbar)) for c, energy, _ in sup._plan[1])]
+
+
+def _work(sup: Superposition, order: int, n: int, t, count: int):
+    """Scratch of `_block_sums` on n points, rows min(n, CHUNK) long: [Re, Im] rows for the
+    first `count` quantities, to derivative `order`, a spare pair and row; weights at one t."""
+    rows = min(n, CHUNK)
+    return SimpleNamespace(order=order, acc=[np.empty((2, rows)) for _ in range(count)],
+                           pair=np.empty((2, rows)), row=np.empty(rows),
+                           weights=None if np.ndim(t) else _weights(sup, t))
+
+
+def _block_sums(sup: Superposition, work, p, t):
+    """[Re, Im] rows of psi, d_x psi, d_y psi, d_xx psi, d_yy psi and d_xy psi, as many as
+    `work` holds, at M <= CHUNK points p (D arrays; a 1D state has psi, d_x and d_xx psi).
+
+    Each term adds [Re w_k, Im w_k] f_k into them, f_k the real product of
+    ladder parts, with the bits of the complex sums of w_k f_k begun at 0;
+    a free plane wave's parts are complex and multiplied as such.  The
+    spare rows of `work` are free on return.
+    """
+    m = len(p[0])
+    acc = [pair[:, :m] for pair in work.acc]
+    tmp, row = work.pair[:, :m], work.row[:m]
+    weights = _weights(sup, t) if work.weights is None else work.weights
+    axes, terms = sup._plan
+    tables = [ladder(constants, xi, _ARRAY, work.order) for (ladder, constants), xi in zip(axes, p)]
+    for k, ((w, w_rows), (_, _, n)) in enumerate(zip(weights, terms)):
+        if not axes:  # free: plane wave exp(i k . x), parts v, i k_i v and -k_i k_j v
+            v = np.exp(1j * sum(ki * xi for ki, xi in zip(n, p)))
+            parts = [v, *[1j * ki * v for ki in n], *[-ki * ki * v for ki in n],
+                     *[-n[0] * ky * v for ky in n[1:]]]
+        elif len(p) == 1:
+            parts = tables[0][n[0]]
+        else:
+            (vx, dx, lx), (vy, dy, ly) = tables[0][n[0]], tables[1][n[1]]
+            parts = [(vx, vy), (dx, vy), (vx, dy), (lx, vy), (vx, ly), (dx, dy)]
+        for pair, f in zip(acc, parts):
+            if not axes:  # [Re, Im] of the complex product, a view
+                term = (w * f).view(float).reshape(-1, 2).T
+            else:
+                term = np.multiply(f if len(p) == 1 else np.multiply(*f, out=row), w_rows, out=tmp)
+            np.add(pair if k else 0.0, term, out=pair)  # the first term on +0.0, as sums begin
+    return acc
+
+
+def _sums(sup: Superposition, x, t, order: int, outs):
+    """The first len(outs) `_block_sums` quantities up to `order` at the rows of x (points of
+    D coordinates), each written into its complex output."""
+    return _map_chunks(partial(_fill, sup, _work(sup, order, len(x), t, len(outs))), x, t, outs)
+
+
+def _fill(sup: Superposition, work, x, t, *outs):
+    for out, pair in zip(outs, _block_sums(sup, work, x.T, t)):
+        out.real, out.imag = pair
 
 
 def _map_chunks(fn, x, t, outs):
@@ -654,7 +682,7 @@ def find_nodes(sup: Superposition, region, t: float, resolution: int = 200) -> n
 
     if d == 1:
         x = np.linspace(lo[0], hi[0], resolution + 1)
-        psi, _, _ = evaluate_wavefunction(sup, x, t)
+        psi = _batched(sup, x, t, 0)
         peak = np.max(np.abs(psi))
         if peak == 0.0:
             return np.array([])
@@ -673,7 +701,7 @@ def find_nodes(sup: Superposition, region, t: float, resolution: int = 200) -> n
     yg = np.linspace(lo[1], hi[1], ny)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     pts = np.stack([X, Y], axis=-1)
-    psi, _, _ = evaluate_wavefunction(sup, pts, t)
+    psi = _batched(sup, pts, t, 0)
     peak = np.max(np.abs(psi))
     if peak == 0.0:
         return np.empty((0, 2))
@@ -718,9 +746,10 @@ def superposition_to_dict(sup: Superposition) -> dict:
 
 def superposition_from_dict(d: dict) -> Superposition:
     """A superposition from a well-formed spec-file block (`config` checks one);
-    renormalizes, warning when the input norm is off."""
+    renormalizes, warning when the input norm is off and the state was built."""
     spec = [(complex(t["c_re"], t["c_im"]), tuple(t["n"])) for t in d["terms"]]
+    sup = Superposition.of(system_from_dict(d["system"]), spec)  # may raise: warn only after
     raw_norm = math.sqrt(sum(c.real ** 2 + c.imag ** 2 for c, _ in spec))
     if abs(raw_norm - 1.0) > 1e-6:
         warnings.warn(f"superposition input norm {raw_norm:.6g} != 1; renormalizing")
-    return Superposition.of(system_from_dict(d["system"]), spec)
+    return sup

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +178,9 @@ _MALFORMED = {
                          "system.kind"),
     "classical-angle-nan": (_classical_doc(launch_angle=math.nan), "run.launch_angle"),
     "trace-free-system": (_trace_doc() | {"system": {"kind": "free"}}, "system.kind"),
+    # an integer too large for a float, which crashed the float check with OverflowError
+    "classical-duration-huge": (_classical_doc(duration=10**400), "run.duration"),
+    "compare-inputs-empty": (_run_doc("compare", {"inputs": []}), "run.inputs"),
 }
 
 
@@ -189,6 +194,25 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, case):
     assert cli.main(["run", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
     assert not out.exists()
+
+
+def test_config_error_comes_before_any_state_warning(tmp_path):
+    """A 1D box state of norm sqrt(2) with a two-coordinate x0: the run exits 2 and
+    stderr holds the config error alone, without the renormalization warning."""
+    doc = _bohmian_doc(x0=(0.3, 0.4))
+    doc["state"]["terms"] = [{"c_re": 1.0, "c_im": 0.0, "n": [1]},
+                             {"c_re": 1.0, "c_im": 0.0, "n": [2]}]
+    cfg = _write(tmp_path / "s.json", doc)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pilotwave.cli", "run", cfg, "--out",
+                           str(tmp_path / "out")], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "config error: run.x0: expected 1 coordinate(s), got 2"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,10 +1,15 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom, chisquare
 
 from pilotwave import ensembles as en
+from pilotwave import quantum as qm
+from pilotwave import systems as sy
 from pilotwave.errors import DomainError
 
 
@@ -32,6 +37,33 @@ def test_sampling_chi_squared(two_mode_box):
     counts, _ = np.histogram(ens.positions, bins=50, range=(0.0, 1.0))
     _, pval = chisquare(counts, f_exp=n * p / p.sum())
     assert pval > 0.01
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(("box", "harmonic")), d=st.sampled_from((1, 2)), data=st.data(),
+       t=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_equivariance_l1_at_t0_is_sampling_noise(kind, d, data, t, seed):
+    """A freshly sampled ensemble's `equivariance_l1` at its own time: within the
+    multinomial mean of the L1 distance plus a margin.
+
+    With p_i the exact bin contents and N members, E|f_i - p_i| is de Moivre's
+    2 m (1 - p_i) Binom(m; N, p_i) / N, m = floor(N p_i) + 1.  Moving one
+    member moves the L1 distance by at most 2 / N, so by McDiarmid's
+    inequality it exceeds its mean by sqrt(2 ln(1e9) / N) with probability
+    below 1e-9.
+    """
+    n, bins, low = 2000, 20, 1 if kind == "box" else 0
+    terms = data.draw(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 2.0 * math.pi),
+                                         st.tuples(*[st.integers(low, low + 3)] * d)),
+                               min_size=1, max_size=3, unique_by=lambda term: term[2]))
+    system = (sy.SolvableSystem("box", sy.SystemConstants(dimension=d), lengths=(1.0, 1.3)[:d])
+              if kind == "box" else sy.harmonic(*(1.0, math.sqrt(2.0))[:d]))
+    sup = qm.Superposition.of(system, [(r * cmath.exp(1j * phi), q) for r, phi, q in terms])
+    ens = en.sample_quantum_equilibrium(sup, t, n, seed)
+    p = en.bin_probabilities(sup, t, bins).ravel()
+    m = np.floor(n * p) + 1
+    mean = float(np.sum(2.0 * m * (1.0 - p) * binom.pmf(m, n, p))) / n
+    assert en.equivariance_l1(ens, sup, bins) <= mean + math.sqrt(2.0 * math.log(1e9) / n)
 
 
 def test_bin_probabilities_sum_to_one(two_mode_box, vortex_plus):

@@ -224,6 +224,62 @@ def test_one_point_outside_box_raises(lengths):
                 qm.evaluate_wavefunction(sup, x[0] if d == 1 else x, 0.3)
 
 
+@pytest.mark.parametrize("lengths", [(1.0,), (1.0, 1.3)])
+def test_array_with_one_point_outside_box_raises(lengths):
+    """A batch with one coordinate just outside the box raises, wherever that point sits
+    among the blocks; the guidance flow, which holds its points inside, does not."""
+    d = len(lengths)
+    system = sy.SolvableSystem("box", sy.SystemConstants(dimension=d), lengths=lengths)
+    sup = qm.Superposition.of(system, [(1.0, (1,) * d), (0.5j, (2,) * d)])
+    for row in (0, qm.CHUNK + 3):
+        for axis in range(d):
+            for outside in (-1e-9, lengths[axis] + 1e-9):
+                x = np.random.default_rng(row).uniform(0.1, 0.9, (qm.CHUNK + 9, d)) * lengths
+                x[row, axis] = outside
+                for t in (0.3, np.full(len(x), 0.3)):
+                    with pytest.raises(DomainError):
+                        qm.evaluate_wavefunction(sup, x[:, 0] if d == 1 else x, t)
+                assert np.all(np.isfinite(bm._guidance(sup, x, 0.3)[0]))
+
+
+def _kernel_sums(sup, x, t, order):
+    """The complex `_block_sums` quantities at order 0, 1 or 2 (psi; grad psi; the Hessian)."""
+    n = {1: (1, 2, 3), 2: (1, 3, 6)}[x.shape[1]][order]
+    return qm._sums(sup, x, t, order, [np.empty(len(x), dtype=complex) for _ in range(n)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=wavefields(wall=(0.0, 1e-12), n_points=(1, 40)), per_point=st.booleans())
+def test_kernel_orders_agree_bit_for_bit(case, per_point):
+    """The array kernel accumulates only the derivative order asked for: psi has the
+    same bits at orders 0, 1 and 2, and grad psi at orders 1 and 2, with one time or
+    one per point."""
+    sup, x, t = case
+    t = t if per_point else float(t[0])
+    sums = [_kernel_sums(sup, x, t, order) for order in range(3)]
+    d = x.shape[1]
+    assert _bits(sums[0][0]) == _bits(sums[1][0]) == _bits(sums[2][0])
+    assert _bits(sums[1][1:]) == _bits(sums[2][1:d + 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=wavefields(kinds=("harmonic",), spread=40.0, n_points=(1, 40)))
+def test_guidance_amplitude_within_an_ulp_of_hypot(case):
+    """|psi| of the batched guidance, sqrt(Re^2 + Im^2) while that sum is a normal float,
+    against np.hypot(Re psi, Im psi): within one ulp, and finite and nonzero wherever
+    np.abs(psi) is, out to |x| = 40 where |psi| falls below 1e-300 and its square
+    underflows.  np.abs of a complex array rounds worse, up to 1.5 ulp of the modulus
+    with numpy 2.4 (7.517657863494276e-112 where the modulus rounds to ...278e-112), so
+    the distance to it is held to two ulps."""
+    sup, x, t = case
+    _, amp = bm._guidance(sup, x, t)
+    psi = qm.evaluate_wavefunction(sup, x[:, 0] if x.shape[1] == 1 else x, t)[0]
+    ref, cabs = np.hypot(psi.real, psi.imag), np.abs(psi)
+    assert np.all(np.abs(amp - ref) <= np.spacing(ref))
+    assert np.all(np.abs(amp - cabs) <= 2 * np.spacing(ref))
+    assert np.array_equal(np.isfinite(amp) & (amp > 0), np.isfinite(cabs) & (cabs > 0))
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=wavefields(wall=(1e-9, 1e-12)))
 def test_guidance_one_and_two_points_match_batched_rows(case):

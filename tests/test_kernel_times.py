@@ -6,7 +6,7 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "kernel_times.py"
 KERNELS = ("point guidance", "amplitude only", "guidance Jacobian",
-           "batched guidance, 1e5 points", "diamagnetic rhs")
+           "batched guidance, 1e5 points", "batched amplitude, 1e5 points", "diamagnetic rhs")
 
 
 def test_kernel_times_prints_every_kernel_once():
