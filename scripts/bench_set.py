@@ -3,6 +3,7 @@
     python3 scripts/bench_set.py run --base DIR --head DIR --seeds 11-20 --out runs.jsonl
     python3 scripts/bench_set.py run --base DIR --head DIR --seeds 11 --trace --out runs.jsonl
     python3 scripts/bench_set.py write runs.jsonl --base BENCH_5.json --head BENCH_6.json
+    python3 scripts/bench_set.py outputs --base DIR --head DIR --seeds 11-20
 
 `run` calls `perfbench/run.py --workload W --seed S --seconds 25 --trace 0`
 in each checkout, for every workload of `BENCHMARK.json` and every seed,
@@ -20,6 +21,15 @@ median(head) / median(base) - 1 at most the bound (for a metric where
 lower is better; the other way round otherwise), or REGRESSION.  Then it
 prints the traced table: every per-layer metric of each workload, base and
 head side by side.
+
+`outputs` runs `perfbench/workload.py --workload W --seed S --seconds 0
+--trace 0` (one round) in each checkout, with `src` on PYTHONPATH and BLAS
+at one thread, for every workload and seed, and compares by sha256 every
+file that a `manifest.json` under `perfbench/out/W/` lists; files no
+manifest lists (scenario inputs, spans) are not compared.  For a CSV that
+differs it prints the rows that differ and the largest absolute and
+relative difference of their numbers.  It exits 1 if any file differs or
+is missing, or a run fails.
 """
 
 from __future__ import annotations
@@ -38,6 +48,9 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 25
+SINGLE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+ROWS_SHOWN = 5  # differing CSV rows printed per file; all are counted
 
 
 def source_digest(checkout: Path) -> str:
@@ -48,10 +61,18 @@ def source_digest(checkout: Path) -> str:
     return digest.hexdigest()
 
 
+def file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def machine() -> dict:
     return {"nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__,
             "platform": platform.platform()}
+
+
+def workload_names() -> list[str]:
+    return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def seed_range(text: str) -> list[int]:
@@ -62,7 +83,7 @@ def seed_range(text: str) -> list[int]:
 def run(args) -> None:
     sides = {"base": Path(args.base).resolve(), "head": Path(args.head).resolve()}
     digests = {side: source_digest(path) for side, path in sides.items()}
-    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    workloads = workload_names()
     for workload in workloads:
         for i, seed in enumerate(seed_range(args.seeds)):
             for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
@@ -153,6 +174,86 @@ def write(args) -> None:
                 print(f"  {name:36s} {m['value']:12.6g} -> {after:12.6g} {m['unit']}")
 
 
+def workload_outputs(checkout: Path, workload: str, seed: int) -> Path:
+    """One round of `workload` in `checkout`; its output tree, perfbench/out/<workload>."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"), env.get("PYTHONPATH")]))
+    env.update(dict.fromkeys(SINGLE_THREAD, "1"))
+    cmd = [sys.executable, "perfbench/workload.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", "0", "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    report = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    if report is None or report["untraced"]["failed"]:
+        raise RuntimeError(f"{checkout}: {workload} seed {seed} failed: "
+                           f"{report['untraced']['errors'] if report else proc.stderr[-2000:]}")
+    return checkout / "perfbench" / "out" / workload
+
+
+def listed_files(tree: Path) -> set[str]:
+    """Paths, relative to `tree`, of every file that a manifest.json under it lists."""
+    return {str((m.parent / f["path"]).relative_to(tree))
+            for m in tree.rglob("manifest.json")
+            for f in json.loads(m.read_text())["files"]}
+
+
+def csv_differences(base: Path, head: Path) -> list[str]:
+    """The differing rows of two CSV files, and the largest differences of their numbers."""
+    rows = [path.read_text().splitlines() for path in (base, head)]
+    lines, count, worst_abs, worst_rel = [], 0, 0.0, 0.0
+    if len(rows[0]) != len(rows[1]):
+        lines.append(f"    {len(rows[0])} rows in base, {len(rows[1])} in head")
+    for i, (a, b) in enumerate(zip(*rows)):
+        if a == b:
+            continue
+        count += 1
+        if count <= ROWS_SHOWN:
+            lines += [f"    row {i} base: {a}", f"    row {i} head: {b}"]
+        for x, y in zip(a.split(","), b.split(",")):
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                continue
+            worst_abs = max(worst_abs, abs(x - y))
+            if x != y:
+                worst_rel = max(worst_rel, abs(x - y) / max(abs(x), abs(y)))
+    lines.append(f"    {count} rows differ; largest difference {worst_abs:.3g} absolute, "
+                 f"{worst_rel:.3g} relative")
+    return lines
+
+
+def compare_outputs(base: Path, head: Path) -> tuple[list[str], int]:
+    """(report lines, files that differ or are missing) over the manifest-listed files."""
+    lines, bad = [], 0
+    for name in sorted(listed_files(base) | listed_files(head)):
+        a, b = base / name, head / name
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"  {name}: missing in {'head' if a.is_file() else 'base'}")
+            bad += 1
+        elif file_sha256(a) == file_sha256(b):
+            lines.append(f"  {name}: identical")
+        else:
+            lines.append(f"  {name}: DIFFERS")
+            if name.endswith(".csv"):
+                lines += csv_differences(a, b)
+            bad += 1
+    return lines, bad
+
+
+def outputs(args) -> None:
+    sides = [Path(args.base).resolve(), Path(args.head).resolve()]
+    total = 0
+    for workload in workload_names():
+        for seed in seed_range(args.seeds):
+            base, head = (workload_outputs(side, workload, seed) for side in sides)
+            lines, bad = compare_outputs(base, head)
+            print(f"{workload} seed {seed}:", *lines, sep="\n")
+            total += bad
+    print(f"{total} of the manifest-listed files differ or are missing")
+    if total:
+        raise SystemExit(1)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(required=True)
@@ -168,6 +269,11 @@ def main(argv=None) -> None:
     p.add_argument("--base", required=True, help="output file for the base checkout")
     p.add_argument("--head", required=True, help="output file for the head checkout")
     p.set_defaults(func=write)
+    p = sub.add_parser("outputs", help="compare the outputs of one round in each checkout")
+    p.add_argument("--base", required=True, help="checkout of the parent commit")
+    p.add_argument("--head", default=str(ROOT), help="checkout of the change")
+    p.add_argument("--seeds", default="11-20", help="inclusive range, e.g. 11-20")
+    p.set_defaults(func=outputs)
     args = parser.parse_args(argv)
     args.func(args)
 

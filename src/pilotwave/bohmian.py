@@ -33,12 +33,9 @@ from .quantum import (
     amplitude_scale,
     evaluate_wavefunction,
     phase_gradient,
-    wavefield_sample,
 )
 
 __all__ = [
-    "velocity_field",
-    "probability_current",
     "BohmianTrajectory",
     "integrate_bohmian",
     "newtonian_residual",
@@ -172,32 +169,6 @@ def _sampled_fields(sup: Superposition, x, t):
                                        sup.system.constants)
     bad = (rho == 0.0) | ~np.isfinite(q) | ~np.all(np.isfinite(grad_sigma), axis=-1)
     return rho, q, grad_sigma, bad
-
-
-def velocity_field(sup: Superposition, x, t: float):
-    """Bohmian velocity v = grad(sigma)/m at one point.
-
-    Raises NodeSingularityError within the node guard band.  Returns a float
-    for 1D systems and a length-2 array for 2D systems.
-    """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    sample = wavefield_sample(sup, xa[0] if sup.system.dimension == 1 else xa, t)
-    if sample.node_flag:
-        raise NodeSingularityError(x, t, sample.rho)
-    v = sample.grad_sigma / sup.system.constants.mass
-    return float(v[0]) if sup.system.dimension == 1 else v
-
-
-def probability_current(sup: Superposition, x, t: float):
-    """Probability current j = hbar Im(psi* grad psi)/m, independent of v.
-
-    Computed directly from psi and its gradient so it can serve as an oracle
-    for the velocity-current identity j = rho^2 v.
-    """
-    hbar, m = sup.system.constants.hbar, sup.system.constants.mass
-    psi, grad, _ = evaluate_wavefunction(sup, x, t)
-    j = hbar * np.imag(np.conjugate(psi) * np.atleast_1d(grad)) / m
-    return float(j[0]) if sup.system.dimension == 1 else j
 
 
 @dataclass

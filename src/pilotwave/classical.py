@@ -30,15 +30,10 @@ from .systems import DiamagneticSystem, PhaseState, SolvableSystem
 __all__ = [
     "PSEUDO_ENERGY",
     "regularized_hamiltonian",
-    "regularized_derivative",
     "regularized_to_physical",
-    "physical_to_regularized",
     "launch_from_nucleus",
     "Trajectory",
     "integrate_classical",
-    "integrate_diamagnetic_physical",
-    "physical_hamiltonian",
-    "scaling_map",
     "accessible_boundary",
     "in_accessible_region",
     "coverage_fraction",
@@ -57,19 +52,6 @@ def regularized_hamiltonian(y, epsilon: float):
     mu, nu, pmu, pnu = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
     r2 = mu * mu + nu * nu
     return 0.5 * (pmu * pmu + pnu * pnu) - epsilon * r2 + 0.125 * mu * mu * nu * nu * r2
-
-
-def regularized_derivative(system: DiamagneticSystem, state):
-    """Phase-space derivative of the regularized flow at `state`.
-
-    `state` is a PhaseState in (mu, nu) coordinates or a flat length-4 array;
-    the return is the matching flat array (mu', nu', p_mu', p_nu') with
-    respect to the rescaled time.
-    """
-    y = state.as_array() if isinstance(state, PhaseState) else np.asarray(state, dtype=float)
-    if y.shape[-1] != 4 or not np.all(np.isfinite(y)):
-        raise DomainError("regularized state must be 4 finite components")
-    return np.stack(_flow(np.moveaxis(y, -1, 0), system.epsilon), axis=-1)
 
 
 def _flow(y, eps):
@@ -116,18 +98,6 @@ def regularized_to_physical(y):
     rho = mu * nu
     z = 0.5 * (mu * mu - nu * nu)
     return np.stack([rho, z, p_rho, p_z], axis=-1)
-
-
-def physical_to_regularized(rho: float, z: float, p_rho: float, p_z: float) -> np.ndarray:
-    """Inverse map for a scaled physical point with rho >= 0 (mu, nu >= 0 branch)."""
-    if rho < 0:
-        raise DomainError("physical rho must be non-negative; use the mirror image")
-    r = math.hypot(rho, z)
-    mu = math.sqrt(max(r + z, 0.0))
-    nu = math.sqrt(max(r - z, 0.0))
-    p_mu = nu * p_rho + mu * p_z
-    p_nu = mu * p_rho - nu * p_z
-    return np.array([mu, nu, p_mu, p_nu])
 
 
 def launch_from_nucleus(theta: float) -> PhaseState:
@@ -309,41 +279,6 @@ def _wall_hits(system, t0, q0, p0, duration):
         lo, hi = sorted((q / length, (q + v * duration) / length))
         hits += [t0 + (k * length - q) / v for k in range(math.floor(lo) + 1, math.ceil(hi))]
     return np.clip(hits, *sorted((t0, t0 + duration)))
-
-
-def physical_hamiltonian(q, p, field_strength: float):
-    """Unscaled H = p^2/2 - 1/r + B^2 rho^2 / 8 in cylindrical (rho, z)."""
-    rho, z = q[..., 0], q[..., 1]
-    r = np.hypot(rho, z)
-    return 0.5 * np.sum(p * p, axis=-1) - 1.0 / r + field_strength**2 * rho * rho / 8.0
-
-
-def integrate_diamagnetic_physical(system: DiamagneticSystem, initial: PhaseState,
-                                   duration: float, tol: float = 1e-10) -> Trajectory:
-    """Integrate the physical-representation system in physical coordinates.
-
-    Valid away from the nucleus (no regularization); mainly used to verify
-    the scaling invariance against the regularized integration.
-    """
-    if not system.is_physical:
-        raise DomainError("physical integration needs the (E, B) representation")
-    b = system.field_strength
-
-    def rhs(t, y):
-        rho, z, prho, pz = y
-        r3 = (rho * rho + z * z) ** 1.5
-        return (prho, pz, -rho / r3 - b * b * rho / 4.0, -z / r3)
-
-    res = solve_ivp(rhs, (initial.t, initial.t + duration), initial.as_array(), rtol=tol,
-                    atol=tol, dense_output=True)
-    inv = physical_hamiltonian(res.y[:2].T, res.y[2:].T, b)
-    return Trajectory(system, res.t, res.y.T, inv, _dense=res.sol)
-
-
-def scaling_map(q, p, t, field_strength: float):
-    """Map unscaled (q, p, t) to scaled coordinates: the B**(2/3), B**(-1/3), B rule."""
-    b = field_strength
-    return np.asarray(q) * b ** (2.0 / 3.0), np.asarray(p) * b ** (-1.0 / 3.0), np.asarray(t) * b
 
 
 def in_accessible_region(epsilon: float, rho, z):

@@ -10,7 +10,6 @@ seeded directly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ __all__ = [
     "orbit_invariants",
     "continue_orbit",
     "solvable_orbit",
-    "orbits_to_json",
 ]
 
 CLOSURE_TOL = 1e-8  # how close to the nucleus a closure must return
@@ -275,22 +273,3 @@ def solvable_orbit(system: SolvableSystem, energy: float) -> ClosedOrbit:
     action = float(simpson(samples[:, 1] ** 2 / m, x=tt))
     # variational flow over a full period is the identity
     return ClosedOrbit(0.0, period, period, action, 2.0, 2, 0.0, tt, path, system)
-
-
-def orbits_to_json(orbits, path=None):
-    """Spec export: orbit catalog as a JSON array."""
-    data = [
-        {
-            "launch_angle": o.launch_angle,
-            "period": o.period,
-            "action": o.action,
-            "monodromy_trace": o.monodromy_trace,
-            "phase_index": o.phase_index,
-            "closure_residual": o.closure_residual,
-        }
-        for o in orbits
-    ]
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-    return data

@@ -17,10 +17,11 @@ scalars (`_term_sum`), where numpy's per-call overhead would cost more
 than the arithmetic.  Arrays run in blocks of `CHUNK` points
 (`_block_sums`): each term adds Re w_k f_k and Im w_k f_k, w_k =
 c_k exp(-i E_k t / hbar) and f_k a real product of ladder rows, into real
-accumulators of scratch rows made once per call.  Both agree with the per-term
-`eigenfunction` to 1e-12 of the term sizes sum |c_n f_n(x)|, except that
-near its zeros (a wall, an interior node) a box mode is known only to a few
-ulps of its largest value on every path, as each rounds the sine's argument.
+accumulators of scratch rows made once per call.  Both agree with the
+per-mode reference `tests/oracles.eigenfunction` to 1e-12 of the term sizes
+sum |c_n f_n(x)|, except that near its zeros (a wall, an interior node) a
+box mode is known only to a few ulps of its largest value on every path, as
+each rounds the sine's argument.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .systems import SolvableSystem, SystemConstants, system_from_dict
 __all__ = [
     "EigenstateRef",
     "eigenstate",
-    "eigenfunction",
     "Superposition",
     "evaluate_wavefunction",
     "WavefieldSample",
@@ -51,9 +51,7 @@ __all__ = [
     "effective_domain",
     "find_nodes",
     "norm_quadrature",
-    "continuous_phase",
     "superposition_from_dict",
-    "superposition_to_dict",
     "NODE_THRESHOLD_FACTOR",
 ]
 
@@ -116,39 +114,6 @@ def eigenstate(system: SolvableSystem, *quantum_numbers) -> EigenstateRef:
     return EigenstateRef(k, energy, None)
 
 
-def _box_axis(n: int, L: float, x: np.ndarray):
-    """(value, d/dx, d2/dx2) of the 1D box mode sqrt(2/L) sin(n pi x / L)."""
-    kn = n * math.pi / L
-    a = math.sqrt(2.0 / L)
-    s, c = np.sin(kn * x), np.cos(kn * x)
-    return a * s, a * kn * c, -a * kn**2 * s
-
-
-def _hermite_pair(n: int, xi: np.ndarray):
-    """Orthonormal Hermite functions (h_n, h_{n-1}) by stable upward recurrence.
-
-    Normalized against the plain Hermite polynomials, which overflow beyond
-    n about 150; the recurrence keeps every intermediate at unit scale.
-    """
-    h_prev = np.zeros_like(xi)
-    h = math.pi ** (-0.25) * np.exp(-0.5 * xi**2)
-    for k in range(n):
-        h, h_prev = math.sqrt(2.0 / (k + 1)) * xi * h - math.sqrt(k / (k + 1.0)) * h_prev, h
-    return h, h_prev
-
-
-def _harmonic_axis(n: int, omega: float, constants: SystemConstants, x: np.ndarray):
-    """(value, d/dx, d2/dx2) of the 1D oscillator mode n at frequency omega."""
-    s = math.sqrt(constants.mass * omega / constants.hbar)
-    xi = s * np.asarray(x, dtype=float)
-    hn, hprev = _hermite_pair(n, xi)
-    sqrt_s = math.sqrt(s)
-    value = sqrt_s * hn
-    grad = s * sqrt_s * (math.sqrt(2.0 * n) * hprev - xi * hn)
-    lap = s**2 * (xi**2 - (2 * n + 1)) * value
-    return value, grad, lap
-
-
 def _box_ladder(axis, x, lib, order=2):
     """(value, d/dx, d2/dx2) of the box modes n = 0..n_max at a float or an array.
 
@@ -176,8 +141,9 @@ def _box_ladder_plan(n_max: int, L: float):
 def _harmonic_ladder(axis, x, lib, order=2):
     """(value, d/dx, d2/dx2) of the oscillator modes n = 0..n_max at a float or an array.
 
-    Derivatives above `order` are left None.  One run of the `_hermite_pair`
-    recurrence, with its rounding, serves every n.
+    Derivatives above `order` are left None.  One run of the orthonormal
+    Hermite recurrence (`tests/oracles._hermite_pair`), with its rounding,
+    serves every n.
     """
     s, sqrt_s, s_sqrt_s, s2, h0, rungs = axis
     xi = s * x
@@ -223,32 +189,6 @@ def _check_box(system: SolvableSystem, x):
     x = np.asarray(x)
     if system.kind == "box" and np.any((x < 0) | (x > np.asarray(system.lengths))):
         raise DomainError("position outside box domain")
-
-
-def eigenfunction(system: SolvableSystem, state: EigenstateRef, x):
-    """Closed-form eigenfunction value, gradient and laplacian at x.
-
-    Raises DomainError when any point lies outside a box domain.  Values are
-    complex for free-particle plane waves, real otherwise.
-    """
-    x = np.asarray(x, dtype=float)
-    d, n = system.dimension, state.quantum_numbers
-    if system.kind == "free":  # plane wave exp(i k . x)
-        k = np.asarray(n, dtype=float)
-        value = np.exp(1j * (k[0] * x if d == 1 else x @ k))
-        grad = 1j * k[0] * value if d == 1 else 1j * k * value[..., None]
-        return value, grad, -float(k @ k) * value
-    coords = [x] if d == 1 else [x[..., 0], x[..., 1]]
-    _check_box(system, x)
-    if system.kind == "box":
-        parts = list(map(_box_axis, n, system.lengths, coords))
-    else:
-        parts = [_harmonic_axis(ni, w, system.constants, xi)
-                 for ni, w, xi in zip(n, system.omegas, coords)]
-    if d == 1:
-        return parts[0]
-    (vx, gx, lx), (vy, gy, ly) = parts
-    return vx * vy, np.stack([gx * vy, vx * gy], axis=-1), lx * vy + vx * ly
 
 
 @dataclass(frozen=True)
@@ -326,25 +266,20 @@ def evaluate_wavefunction(sup: Superposition, x, t):
 
     t is one time, or an array that broadcasts over the points (one time each).
     One finite point at one time (x a float or 0-d in 1D, two floats or
-    shape (2,) in 2D) is summed in Python scalars; a Python float, or a
-    list of two, at a Python-float time goes there without numpy.  Arrays
-    go through `_block_sums`, `CHUNK` points at a time.  DomainError if a
-    box point lies outside the box.
+    shape (2,) in 2D) is summed in Python scalars.  Arrays go through
+    `_block_sums`, `CHUNK` points at a time.  DomainError if a box point
+    lies outside the box.
     """
     d = sup.system.dimension
-    if type(t) is float and (type(x) is float if d == 1 else
-                             type(x) is list and len(x) == 2 and type(x[0]) is type(x[1]) is float):
-        point = [x] if d == 1 else x
-    else:
-        x = np.asarray(x, dtype=float)
-        if np.ndim(t) or x.shape != ((2,) if d == 2 else ()):
-            return _batched(sup, x, t)
-        point, t = (x.tolist() if d == 2 else [float(x)]), float(t)
+    x = np.asarray(x, dtype=float)
+    if np.ndim(t) or x.shape != ((2,) if d == 2 else ()):
+        return _batched(sup, x, t)
+    point, t = (x.tolist() if d == 2 else [float(x)]), float(t)
     _check_box(sup.system, point)
     if math.isfinite(t) and all(map(math.isfinite, point)):
         psi, gx, gy, hxx, _, hyy = _term_sum(sup, point, t, 2)
         return (psi, gx, hxx) if d == 1 else (psi, np.array([gx, gy]), hxx + hyy)
-    return _batched(sup, np.asarray(point[0] if d == 1 else point, dtype=float), t)
+    return _batched(sup, x, t)
 
 
 def _term_sum(sup: Superposition, point, t: float, order: int):
@@ -576,17 +511,6 @@ def wavefield_sample(sup: Superposition, x, t: float) -> WavefieldSample:
     return polar_fields(raw, sup.system.constants, amplitude_scale(sup), x=x, t=t)
 
 
-def continuous_phase(sigma_values: np.ndarray, hbar: float) -> np.ndarray:
-    """Unwrap a sequence of principal-branch sigma samples along a path.
-
-    Each step chooses the 2 pi hbar branch nearest the previous sample, so
-    the returned sequence is continuous while agreeing with the input modulo
-    2 pi hbar.
-    """
-    sigma = np.asarray(sigma_values, dtype=float)
-    return np.unwrap(sigma, period=2.0 * math.pi * hbar)
-
-
 def effective_domain(sup: Superposition):
     """(lo, hi) arrays of a finite box that carries the state.
 
@@ -727,21 +651,6 @@ def find_nodes(sup: Superposition, region, t: float, resolution: int = 200) -> n
         if all(np.linalg.norm(r - q) > 0.5 * np.min(cell) for q in nodes):
             nodes.append(r)
     return np.array(nodes) if nodes else np.empty((0, 2))
-
-
-def superposition_to_dict(sup: Superposition) -> dict:
-    """Serialize to the superposition spec-file schema."""
-    system = sup.system
-    sys_d: dict = {"kind": system.kind, "hbar": system.constants.hbar,
-                   "mass": system.constants.mass, "dimension": system.dimension}
-    if system.kind == "box":
-        sys_d["lengths"] = list(system.lengths)
-    if system.kind == "harmonic":
-        sys_d["omegas"] = list(system.omegas)
-    terms = [
-        {"c_re": c.real, "c_im": c.imag, "n": list(st.quantum_numbers)} for c, st in sup.terms
-    ]
-    return {"system": sys_d, "terms": terms}
 
 
 def superposition_from_dict(d: dict) -> Superposition:

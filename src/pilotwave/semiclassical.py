@@ -1,4 +1,4 @@
-"""Stationary-phase propagators: Hamilton-Jacobi checks, van Vleck, Green.
+"""Stationary-phase propagators: van Vleck, Green.
 
 The time-domain propagator sums the classical paths from x1 to x2 in a fixed
 time, weighted by the square root of the path density 1/|dx2/dp0| and
@@ -24,16 +24,11 @@ from .systems import SolvableSystem
 __all__ = [
     "ClassicalAction",
     "PropagatorValue",
-    "hamilton_jacobi_residual",
     "van_vleck_1d",
     "semiclassical_green_1d",
-    "exact_propagator_1d",
-    "exact_green_1d",
 ]
 
 SHOT_TOL = 1e-13  # DOP853 tolerance of each `van_vleck_1d` shot
-HJ_STEP = 1e-6  # central-difference step in x and t of `hamilton_jacobi_residual`
-GREEN_STATES = 4000  # modes in the box sum of `exact_green_1d`
 
 
 @dataclass(frozen=True)
@@ -63,19 +58,6 @@ class PropagatorValue:
     @property
     def no_path(self) -> bool:
         return self.contributing_paths == 0
-
-
-def hamilton_jacobi_residual(action, x: float, t: float, system: SolvableSystem) -> float:
-    """|dR/dt + (dR/dx)^2 / 2m + V| for a scalar action model R(x, t).
-
-    Partial derivatives are central differences of step HJ_STEP, so any
-    twice differentiable callable works, analytic or tabulated.
-    """
-    m, h = system.constants.mass, HJ_STEP
-    r_t = (action(x, t + h) - action(x, t - h)) / (2.0 * h)
-    r_x = (action(x + h, t) - action(x - h, t)) / (2.0 * h)
-    v = float(system.potential(np.asarray(x)))
-    return abs(r_t + r_x**2 / (2.0 * m) + v)
 
 
 def _shoot(system: SolvableSystem, x1: float, p0: float, dt: float, tol: float):
@@ -133,28 +115,6 @@ def van_vleck_1d(system: SolvableSystem, x1: float, x2: float, dt: float) -> Pro
     prefactor = 1.0 / cmath.sqrt(2.0j * math.pi * hbar)
     value = prefactor * amp * cmath.exp(1j * (action / hbar - n_conj * math.pi / 2.0))
     return PropagatorValue(value, 1, (ClassicalAction("time", action, 1.0 / jt, n_conj),))
-
-
-def exact_propagator_1d(system: SolvableSystem, x1: float, x2: float, dt: float) -> complex:
-    """Closed-form quantum propagator for the free particle and the oscillator.
-
-    The oscillator form carries the standard caustic phase, -pi/2 per
-    half period crossed.
-    """
-    hbar, m = system.constants.hbar, system.constants.mass
-    if system.kind == "free":
-        pref = cmath.sqrt(m / (2.0j * math.pi * hbar * dt))
-        return pref * cmath.exp(1j * m * (x2 - x1) ** 2 / (2.0 * hbar * dt))
-    if system.kind == "harmonic":
-        w = system.omegas[0]
-        s = math.sin(w * dt)
-        if abs(s) < 1e-12:
-            raise DomainError("propagator singular at a caustic time")
-        n_caustic = int(math.floor(w * dt / math.pi))
-        pref = cmath.sqrt(m * w / (2.0j * math.pi * hbar * abs(s)))
-        phase = (m * w / (2.0 * hbar * s)) * ((x1**2 + x2**2) * math.cos(w * dt) - 2.0 * x1 * x2)
-        return pref * cmath.exp(1j * phase - 1j * n_caustic * math.pi / 2.0)
-    raise DomainError("no closed-form propagator for this system")
 
 
 def _image_paths(s1: float, s2: float, width: float, max_reflections: int):
@@ -229,24 +189,3 @@ def semiclassical_green_1d(system: SolvableSystem, x1: float, x2: float, energy,
     records = tuple(ClassicalAction("energy", abs(s), weight, n)
                     for s, n in zip(action.tolist(), k.tolist()))
     return PropagatorValue(complex(terms.sum()), len(records), records)
-
-
-def exact_green_1d(system: SolvableSystem, x1: float, x2: float, energy) -> complex:
-    """Oracle Green function.
-
-    Free particle: the retarded closed form -i m e^{i k |dx|} / (hbar^2 k).
-    Box: the eigenfunction expansion sum phi_n(x1) phi_n(x2) / (E - E_n) over GREEN_STATES modes,
-    convergent for complex E and away from eigenvalues on the real axis.
-    """
-    hbar, m = system.constants.hbar, system.constants.mass
-    if system.kind == "free":
-        k = cmath.sqrt(2.0 * m * complex(energy)) / hbar
-        return -1j * m / (hbar**2 * k) * cmath.exp(1j * k * abs(x2 - x1))
-    if system.kind == "box":
-        L = system.lengths[0]
-        n = np.arange(1, GREEN_STATES + 1)
-        en = (hbar * math.pi * n) ** 2 / (2.0 * m * L * L)
-        phi1 = math.sqrt(2.0 / L) * np.sin(n * math.pi * x1 / L)
-        phi2 = math.sqrt(2.0 / L) * np.sin(n * math.pi * x2 / L)
-        return complex(np.sum(phi1 * phi2 / (complex(energy) - en)))
-    raise DomainError("no oracle Green function for this system")

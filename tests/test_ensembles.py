@@ -168,3 +168,23 @@ def test_snapshot_csv(tmp_path, two_mode_box):
     lines = path.read_text().splitlines()
     assert lines[0] == "member_id,x1"
     assert len(lines) == 11
+
+
+@pytest.mark.parametrize("n,record", [
+    (300, {"rho": pytest.approx(2.8e-16, rel=0.05)}),
+    (20, {"error": "x0 inside node guard band"}),
+])
+def test_member_started_on_a_node_is_reported(box1d, n, record):
+    """Equal weights of the two lowest box modes put a node at x = 1/3 at
+    t0 = pi / (E2 - E1); member 17 starts on it.  The stacked path (above 256
+    members) flags it at its first evaluation, with its position and |psi|; the
+    per-member path reports the node guard error of its start.  The two record
+    shapes differ."""
+    sup = qm.Superposition.of(box1d, [(1.0, 1), (1.0, 2)])
+    e1, e2 = sup.energies
+    t0 = math.pi / (e2 - e1)
+    positions = en.sample_quantum_equilibrium(sup, t0, n, seed=3).positions
+    positions[17] = 1.0 / 3.0
+    evo = en.evolve_ensemble(en.Ensemble(3, positions, t0), sup, t0 + 0.05)
+    where = {"x": [1.0 / 3.0]} if n > 256 else {}
+    assert evo.node_reports == [{"member_id": 17, "t": t0, **where, **record}]

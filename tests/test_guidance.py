@@ -82,7 +82,7 @@ def _term_sizes(sup, x):
     Batched and one-point sums of the terms round differently, by a few
     ulps of these sizes, and near a node psi is much smaller than they are.
     """
-    parts = [qm.eigenfunction(sup.system, st, x) for _, st in sup.terms]
+    parts = [oracles.eigenfunction(sup.system, st, x) for _, st in sup.terms]
     return [sum(abs(c) * np.max(np.abs(p[i])) for (c, _), p in zip(sup.terms, parts))
             for i in range(3)]
 
@@ -134,7 +134,7 @@ def test_current_is_rho_squared_velocity(case):
     c = sup.system.constants
     v, amp = bm._guidance(sup, x, t)
     for i in range(t.size):
-        j = np.atleast_1d(bm.probability_current(sup, _point(sup, x[i]), t[i]))
+        j = np.atleast_1d(oracles.probability_current(sup, _point(sup, x[i]), t[i]))
         a, g, _ = _term_sizes(sup, _point(sup, x[i]))
         assert np.max(np.abs(amp[i] ** 2 * v[i] - j)) <= _floored(1e-12 * c.hbar / c.mass * a * g)
 
@@ -200,15 +200,16 @@ def test_one_point_path_matches_batched_path(case):
             np.testing.assert_allclose(b[i], s, rtol=0, atol=_floored(1e-12 * size))
 
 
-def test_list_inputs_match_array_inputs(chaotic_aniso_state):
-    """Two floats in a list take the one-point path without numpy, and a list of
-    two points stays a batch: both equal the calls with arrays, bit for bit."""
-    sup = chaotic_aniso_state
-    for x in ([0.3, -0.2], [[0.3, -0.2], [0.1, 0.4]]):
+def test_list_inputs_match_array_inputs(two_mode_box_complex, chaotic_aniso_state):
+    """One point in Python floats at a Python-float time (a float in 1D, a list of two
+    in 2D) gives the bits of the 0-d or shape-(2,) array at a numpy time, and a list
+    of two points stays a batch with the bits of its array."""
+    for sup, x in ((two_mode_box_complex, 0.3), (chaotic_aniso_state, [0.3, -0.2]),
+                   (chaotic_aniso_state, [[0.3, -0.2], [0.1, 0.4]])):
         for got, want in zip(qm.evaluate_wavefunction(sup, x, 0.7),
-                             qm.evaluate_wavefunction(sup, np.array(x), 0.7)):
+                             qm.evaluate_wavefunction(sup, np.array(x), np.float64(0.7))):
             assert type(got) is type(want)
-            np.testing.assert_array_equal(got, want)
+            assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("lengths", [(1.0,), (1.0, 1.3)])
@@ -270,9 +271,11 @@ def test_guidance_amplitude_within_an_ulp_of_hypot(case):
     np.abs(psi) is, out to |x| = 40 where |psi| falls below 1e-300 and its square
     underflows.  np.abs of a complex array rounds worse, up to 1.5 ulp of the modulus
     with numpy 2.4 (7.517657863494276e-112 where the modulus rounds to ...278e-112), so
-    the distance to it is held to two ulps."""
+    the distance to it is held to two ulps.  Where Re^2 + Im^2 underflows to 0, v is the
+    array formula's NaN at a node, which this test does not read."""
     sup, x, t = case
-    _, amp = bm._guidance(sup, x, t)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        _, amp = bm._guidance(sup, x, t)
     psi = qm.evaluate_wavefunction(sup, x[:, 0] if x.shape[1] == 1 else x, t)[0]
     ref, cabs = np.hypot(psi.real, psi.imag), np.abs(psi)
     assert np.all(np.abs(amp - ref) <= np.spacing(ref))
@@ -314,7 +317,7 @@ def _term_by_term(sup, x, t):
     parts = []
     for c, st_ in sup.terms:
         w = c * np.exp(-1j * (st_.energy * np.asarray(t) / hbar))
-        v, g, l = qm.eigenfunction(sup.system, st_, x)
+        v, g, l = oracles.eigenfunction(sup.system, st_, x)
         parts.append((w * v, w[..., None] * g.reshape(len(v), -1), w * l))
     return [sum(p[i] for p in parts) for i in range(3)]
 

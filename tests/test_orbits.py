@@ -120,13 +120,3 @@ def test_degenerate_orbit_rejected(orbits_eps1):
     with pytest.raises(DomainError):
         ob.orbit_invariants(broken)
 
-
-def test_orbit_json_export(tmp_path, orbits_eps1):
-    orbits, _ = orbits_eps1
-    path = tmp_path / "orbits.json"
-    data = ob.orbits_to_json(orbits, path)
-    assert path.exists()
-    keys = {"launch_angle", "period", "action", "monodromy_trace",
-            "phase_index", "closure_residual"}
-    for entry in data:
-        assert set(entry) == keys

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from pilotwave import semiclassical as sc
@@ -17,7 +18,7 @@ def test_hj_residual_free_particle():
         return 0.5 * (x - x1) ** 2 / t  # m (x2-x1)^2 / (2 dt)
 
     for x, t in ((0.3, 0.5), (1.2, 1.7), (-0.9, 0.2)):
-        assert sc.hamilton_jacobi_residual(action, x, t, fp) < 1e-8
+        assert oracles.hamilton_jacobi_residual(action, x, t, fp) < 1e-8
 
 
 def test_hj_residual_harmonic_action():
@@ -30,7 +31,7 @@ def test_hj_residual_harmonic_action():
         return (w / (2.0 * s)) * ((x1 * x1 + x * x) * math.cos(w * t) - 2.0 * x1 * x)
 
     for x, t in ((0.3, 0.5), (-0.8, 1.1), (1.4, 2.0)):
-        assert sc.hamilton_jacobi_residual(action, x, t, ho) < 1e-6
+        assert oracles.hamilton_jacobi_residual(action, x, t, ho) < 1e-6
 
 
 def test_hj_residual_momentum_eigenstate_sigma():
@@ -42,7 +43,7 @@ def test_hj_residual_momentum_eigenstate_sigma():
         return k * x - (k * k / 2.0) * t
 
     for x, t in ((0.0, 0.1), (3.0, 2.0)):
-        assert sc.hamilton_jacobi_residual(sigma, x, t, fp) < 1e-9
+        assert oracles.hamilton_jacobi_residual(sigma, x, t, fp) < 1e-9
 
 
 def test_van_vleck_free_exact():
@@ -52,7 +53,7 @@ def test_van_vleck_free_exact():
         x1, x2 = rng.uniform(-2, 2, 2)
         dt = rng.uniform(0.1, 2.5)
         k = sc.van_vleck_1d(fp, x1, x2, dt)
-        exact = sc.exact_propagator_1d(fp, x1, x2, dt)
+        exact = oracles.exact_propagator_1d(fp, x1, x2, dt)
         assert k.contributing_paths == 1
         assert abs(k.value - exact) / abs(exact) < 1e-10
 
@@ -64,7 +65,7 @@ def test_van_vleck_harmonic_pre_caustic():
         x1, x2 = rng.uniform(-1.8, 1.8, 2)
         dt = rng.uniform(0.1, math.pi / 1.3 - 0.05)
         k = sc.van_vleck_1d(ho, x1, x2, dt)
-        exact = sc.exact_propagator_1d(ho, x1, x2, dt)
+        exact = oracles.exact_propagator_1d(ho, x1, x2, dt)
         assert k.paths[0].conjugate_points == 0
         assert abs(k.value - exact) / abs(exact) < 1e-10
 
@@ -79,7 +80,7 @@ def test_van_vleck_harmonic_near_caustic(x1, x2, dt):
     """Close to w dt = pi the one path's momentum exceeds a scan sized by dt alone."""
     ho = sy.harmonic(1.3)
     k = sc.van_vleck_1d(ho, x1, x2, dt)
-    exact = sc.exact_propagator_1d(ho, x1, x2, dt)
+    exact = oracles.exact_propagator_1d(ho, x1, x2, dt)
     assert k.contributing_paths == 1
     assert abs(k.value - exact) / abs(exact) < 1e-10
 
@@ -93,7 +94,7 @@ def test_van_vleck_harmonic_near_caustic_draws():
         x1, x2 = rng.uniform(-1.8, 1.8, 2)
         dt = rng.uniform(math.pi - 0.39, math.pi - 0.065) / w
         k = sc.van_vleck_1d(ho, x1, x2, dt)
-        exact = sc.exact_propagator_1d(ho, x1, x2, dt)
+        exact = oracles.exact_propagator_1d(ho, x1, x2, dt)
         assert k.contributing_paths == 1
         assert abs(k.value - exact) / abs(exact) < 1e-10
 
@@ -111,7 +112,7 @@ def test_van_vleck_harmonic_caustic_side_draws(lo, hi, conjugate_points):
         x1, x2 = rng.uniform(-1.8, 1.8, 2)
         dt = rng.uniform(lo, hi) / w
         k = sc.van_vleck_1d(ho, x1, x2, dt)
-        exact = sc.exact_propagator_1d(ho, x1, x2, dt)
+        exact = oracles.exact_propagator_1d(ho, x1, x2, dt)
         assert k.contributing_paths == 1
         assert k.paths[0].conjugate_points == conjugate_points
         assert abs(k.value - exact) / abs(exact) < 1e-10
@@ -126,7 +127,7 @@ def test_van_vleck_caustic_phase():
     x2 = -x1 * math.cos(w * dt) + 0.2
     k = sc.van_vleck_1d(ho, x1, x2, dt)
     assert k.paths[0].conjugate_points == 1
-    exact = sc.exact_propagator_1d(ho, x1, x2, dt)
+    exact = oracles.exact_propagator_1d(ho, x1, x2, dt)
     assert abs(k.value - exact) / abs(exact) < 1e-9
     # removing the conjugate-point phase must break the agreement by exactly i
     naive = k.value * cmath.exp(1j * math.pi / 2.0)
@@ -173,14 +174,14 @@ def test_green_free_modulus_and_value():
         k = math.sqrt(2.0 * e)
         assert g.contributing_paths == 1
         assert abs(abs(g.value) - 1.0 / k) < 1e-12
-        exact = sc.exact_green_1d(fp, x1, x2, e)
+        exact = oracles.exact_green_1d(fp, x1, x2, e)
         assert abs(g.value - exact) < 1e-12
 
 
 def test_green_box_against_eigenfunction_expansion(box1d):
     energy = 200.0 + 12.0j  # Im E damps long bounce paths
     g = sc.semiclassical_green_1d(box1d, 0.23, 0.61, energy, max_bounces=60)
-    exact = sc.exact_green_1d(box1d, 0.23, 0.61, energy)
+    exact = oracles.exact_green_1d(box1d, 0.23, 0.61, energy)
     assert abs(g.value - exact) / abs(exact) < 1e-9
     assert g.contributing_paths <= 2 * (60 + 1)
     assert all(p.conjugate_points <= 60 for p in g.paths)
@@ -221,8 +222,8 @@ def test_green_harmonic_resummed_matches_resolvent():
         total = 0.0 + 0.0j
         for n in range(n_states):
             st = qm.eigenstate(ho, n)
-            v1, _, _ = qm.eigenfunction(ho, st, x1)
-            v2, _, _ = qm.eigenfunction(ho, st, x2)
+            v1, _, _ = oracles.eigenfunction(ho, st, x1)
+            v2, _, _ = oracles.eigenfunction(ho, st, x2)
             total += complex(v1) * complex(v2) / (e - st.energy)
         return total
 

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from pilotwave import orbits as ob
@@ -27,7 +28,7 @@ def test_mean_density_vs_first_levels_staircase(box2d):
     Over the first 200 levels the Weyl perimeter correction still depresses
     the slope by several percent; the high windows converge to the area term.
     """
-    levels = sp.exact_levels(box2d, 1800)
+    levels = oracles.exact_levels(box2d, 1800)
     dbar = sp.mean_level_density(box2d, 1.0)
     first = np.polyfit(levels[:200], np.arange(1, 201) - 0.5, 1)[0]
     assert abs(first / dbar - 1.0) < 0.08
@@ -37,10 +38,10 @@ def test_mean_density_vs_first_levels_staircase(box2d):
 
 def test_mean_density_monte_carlo(box2d, ho2d_aniso):
     for system, e in ((box2d, 800.0), (ho2d_aniso, 8.0)):
-        mc = sp.mean_level_density_mc(system, e, n_samples=10**6, seed=5)
+        mc = oracles.mean_level_density_mc(system, e, n_samples=10**6, seed=5)
         an = sp.mean_level_density(system, e)
         assert abs(mc / an - 1.0) < 0.01
-    assert sp.mean_level_density_mc(box2d, -1.0) == 0.0
+    assert oracles.mean_level_density_mc(box2d, -1.0) == 0.0
 
 
 def test_trace_formula_harmonic_peaks(ho1d):
@@ -89,7 +90,7 @@ def test_trace_formula_box_vs_exact_smoothed(box1d):
     grid = np.linspace(30.0, 160.0, 2001)
     gamma = 2.0
     density = sp.trace_formula_density(box1d, [fam], grid, repetitions=60, gamma=gamma)
-    exact = sp.smoothed_exact_density(sp.exact_levels(box1d, 60), grid, gamma)
+    exact = oracles.smoothed_exact_density(oracles.exact_levels(box1d, 60), grid, gamma)
     assert np.max(np.abs(density.total - exact)) < 0.05 * np.max(exact)
 
 

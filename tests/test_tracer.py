@@ -28,7 +28,7 @@ def test_tracer_counts_integrations_per_module(two_mode_box_complex):
                  (bm, "integrate_bohmian"), (cl, "lyapunov_exponent"),
                  (runner, "integrate_bohmian"), (en, "evolve_ensemble"),
                  (qm, "evaluate_wavefunction"), (bm, "evaluate_wavefunction"),
-                 (qm, "wavefield_sample"), (bm, "wavefield_sample")]
+                 (qm, "wavefield_sample")]
     # above 256 members the ensemble moves in one stacked integration
     ens = en.sample_quantum_equilibrium(two_mode_box_complex, 0.0, 300, seed=1)
     before = [getattr(mod, name) for mod, name in originals]
@@ -38,7 +38,7 @@ def test_tracer_counts_integrations_per_module(two_mode_box_complex):
         bm.integrate_bohmian(two_mode_box_complex, [0.4], (0.0, 0.2))
         cl.lyapunov_exponent(sy.harmonic(1.0), sy.PhaseState((1.0,), (0.0,)), horizon=2.0)
         en.evolve_ensemble(ens, two_mode_box_complex, 0.1)
-        bm.velocity_field(two_mode_box_complex, 0.3, 0.1)
+        qm.wavefield_sample(two_mode_box_complex, 0.3, 0.1)
         ob.find_closed_orbits(sy.DiamagneticSystem.scaled(-1.0), n_angles=4)
         sc.van_vleck_1d(sy.free_particle(), 0.2, 0.7, 0.5)
         metrics = tracer.metrics(1)
