@@ -24,7 +24,6 @@ runs, each independent of the code it checks:
   propagator and Green function.
 """
 
-
 from __future__ import annotations
 
 import cmath

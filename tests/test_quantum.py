@@ -6,6 +6,7 @@ import pytest
 
 from pilotwave import quantum as qm
 from pilotwave import systems as sy
+from pilotwave.config import build_state
 from pilotwave.errors import DomainError, NodeSingularityError
 
 
@@ -244,3 +245,7 @@ def test_spec_file_norm_warning(box1d):
     with pytest.warns(UserWarning):
         sup = qm.superposition_from_dict(doc)
     assert abs(np.sum(np.abs(sup.coefficients) ** 2) - 1.0) < 1e-12
+    with pytest.warns(UserWarning, match="renormalizing"):
+        checked = build_state(doc)  # the scenario reader: checked field by field, then built
+    assert checked.system == box1d
+    assert np.array_equal(checked.coefficients, sup.coefficients)
