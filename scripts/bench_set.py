@@ -29,7 +29,8 @@ file that a `manifest.json` under `perfbench/out/W/` lists; files no
 manifest lists (scenario inputs, spans) are not compared.  For a CSV that
 differs it prints the rows that differ and the largest absolute and
 relative difference of their numbers.  It exits 1 if any file differs or
-is missing, or a run fails.
+is missing, or a run fails.  It first prints the line count of each
+checkout's `src/` (`src/ lines: base N → head M`), as `wc -l` counts it.
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ def source_digest(checkout: Path) -> str:
     for path in sorted((checkout / "src").rglob("*.py")):
         digest.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def source_lines(base: Path, head: Path) -> str:
+    """The newline count over the files under each checkout's src/, as one report line."""
+    base_n, head_n = (sum(path.read_bytes().count(b"\n") for path in (side / "src").rglob("*.py"))
+                      for side in (base, head))
+    return f"src/ lines: base {base_n} → head {head_n}"
 
 
 def file_sha256(path: Path) -> str:
@@ -242,6 +250,7 @@ def compare_outputs(base: Path, head: Path) -> tuple[list[str], int]:
 
 def outputs(args) -> None:
     sides = [Path(args.base).resolve(), Path(args.head).resolve()]
+    print(source_lines(*sides))
     total = 0
     for workload in workload_names():
         for seed in seed_range(args.seeds):

@@ -208,12 +208,17 @@ def _node_threshold(sup: Superposition) -> float:
     return NODE_THRESHOLD_FACTOR * amplitude_scale(sup)
 
 
-def _start(sup: Superposition, x0) -> np.ndarray:
-    """x0 as an array of shape (D,); DomainError unless it is a point of the domain."""
+def _start(sup: Superposition, x0, t0: float):
+    """(x0 as an array of shape (D,), the node threshold); DomainError unless x0 is a
+    point of the domain, NodeSingularityError if it lies in the node guard band at t0."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (sup.system.dimension,) or not sup.system.in_domain(x0):
         raise DomainError(f"x0 {x0} is not a point of the {sup.system.dimension}D domain")
-    return x0
+    threshold = _node_threshold(sup)
+    amp0 = _point_amplitude(sup, x0, t0)
+    if amp0 <= threshold:
+        raise NodeSingularityError(x0, t0, amp0, "x0 inside node guard band")
+    return x0, threshold
 
 
 def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9) -> BohmianTrajectory:
@@ -225,13 +230,8 @@ def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9) -> Bohm
     """
     system = sup.system
     d = system.dimension
-    x0 = _start(sup, x0)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    threshold = _node_threshold(sup)
-
-    amp0 = float(_guidance(sup, x0, t0)[1])
-    if amp0 <= threshold:
-        raise NodeSingularityError(x0, t0, amp0, "x0 inside node guard band")
+    x0, threshold = _start(sup, x0, t0)
 
     def node_event(t, y):
         return _point_amplitude(sup, y, t) - threshold
@@ -241,7 +241,7 @@ def integrate_bohmian(sup: Superposition, x0, t_span, tol: float = 1e-9) -> Bohm
     res = solve_ivp(partial(_guidance_rhs, sup), (t0, t1), x0, rtol=tol, atol=tol,
                     dense_output=True, events=node_event,
                     max_step=span / 32 if span > 0 else np.inf)
-    node_encounters = [{"t": float(t), "x": y.tolist(), "rho": float(_guidance(sup, y, t)[1])}
+    node_encounters = [{"t": float(t), "x": y.tolist(), "rho": _point_amplitude(sup, y, float(t))}
                        for t, y in zip(res.t_events[0], res.y_events[0])]
     times, positions = res.t, res.y.T
     rho, qv, grad_sigma, bad = _sampled_fields(sup, positions, times)
@@ -322,11 +322,10 @@ def bohmian_lyapunov(
     yields a partial estimate with the flag set; its time comes from the
     run's dense output, rebuilt with one column per time.
     """
-    x0 = _start(sup, x0)
+    x0, threshold = _start(sup, x0, float(t0))
     if horizon <= 0:
         raise DomainError(f"the Lyapunov horizon must be positive, got {horizon}")
     d = x0.size
-    threshold = _node_threshold(sup)
 
     def field(t, x, u):
         v, jac = _guidance_jacobian(sup, x, t)

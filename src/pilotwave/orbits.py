@@ -17,17 +17,16 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from .classical import _diamagnetic_rhs, _flow, _tangent, integrate_classical, launch_from_nucleus
+from .classical import _diamagnetic_rhs, _flow, _tangent, launch_from_nucleus
 from .errors import DomainError, IntegrationError
 from .integrate import solve_ivp
-from .systems import DiamagneticSystem, PhaseState, SolvableSystem
+from .systems import DiamagneticSystem
 
 __all__ = [
     "ClosedOrbit",
     "find_closed_orbits",
     "orbit_invariants",
     "continue_orbit",
-    "solvable_orbit",
 ]
 
 CLOSURE_TOL = 1e-8  # how close to the nucleus a closure must return
@@ -56,7 +55,6 @@ class ClosedOrbit:
     closure_residual: float
     times: np.ndarray
     path: np.ndarray  # (n, 4) regularized samples
-    system: object = None
 
 
 def _close_approaches(system, theta, tau_max, capture_radius):
@@ -142,7 +140,6 @@ def _build_orbit(system, theta, tau_period):
         closure_residual=math.hypot(path[-1, 0], path[-1, 1]),
         times=res.t,
         path=path,
-        system=system,
     )
 
 
@@ -241,35 +238,3 @@ def orbit_invariants(orbit: ClosedOrbit):
     # p . dq/dtau = p_mu^2 + p_nu^2 for the regularized flow
     action = float(simpson(path[:, 2] ** 2 + path[:, 3] ** 2, x=orbit.times))
     return action, orbit.period, orbit.monodromy_trace, orbit.phase_index
-
-
-def solvable_orbit(system: SolvableSystem, energy: float) -> ClosedOrbit:
-    """Periodic orbit of a 1D solvable system at the given energy.
-
-    Harmonic: one libration period starting at the right turning point.
-    Box: one wall-to-wall round trip from the left wall.  Both reuse the
-    ClosedOrbit container (launch angle 0, physical time = rescaled time).
-    """
-    if system.dimension != 1:
-        raise DomainError("solvable_orbit covers 1D systems")
-    if system.kind not in ("harmonic", "box"):
-        raise DomainError("free particle has no periodic orbit")
-    if energy <= 0:
-        raise DomainError(f"{system.kind} orbit needs positive energy")
-    m = system.constants.mass
-    if system.kind == "harmonic":
-        w = system.omegas[0]
-        start = PhaseState((math.sqrt(2.0 * energy / (m * w * w)),), (0.0,))
-        period = 2.0 * math.pi / w
-    else:
-        p = math.sqrt(2.0 * m * energy)
-        start = PhaseState((0.0,), (p,))
-        period = 2.0 * system.lengths[0] * m / p
-    traj = integrate_classical(system, start, period, tol=TOL)
-    tt = np.linspace(0.0, period, 2001)
-    samples = traj.at(tt)
-    path = np.stack([samples[:, 0], np.zeros_like(tt), samples[:, 1],
-                     np.zeros_like(tt)], axis=-1)
-    action = float(simpson(samples[:, 1] ** 2 / m, x=tt))
-    # variational flow over a full period is the identity
-    return ClosedOrbit(0.0, period, period, action, 2.0, 2, 0.0, tt, path, system)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -26,11 +25,9 @@ from .config import Scenario, load_scenario
 from .csvio import write_csv
 from .ensembles import equivariance_l1, evolve_ensemble, sample_quantum_equilibrium
 from .errors import ConfigError
-from .orbits import solvable_orbit
 from .spectra import (
-    box_orbit_family,
-    harmonic_orbit_family,
     match_peaks_to_orbits,
+    orbit_families,
     recurrence_spectrum,
     trace_formula_density,
 )
@@ -175,16 +172,14 @@ def _run_recurrence(scn: Scenario, out: Path) -> list[Path]:
     files = [out / "recurrence.csv"]
     payload = {"kind": "recurrence",
                "peaks": [{"t": t, "height": h} for t, h in spec.peaks]}
-    if sup.system.dimension == 1 and sup.system.kind in ("harmonic", "box"):
+    families = orbit_families(sup.system)
+    if families:
         weights = np.abs(sup.coefficients) ** 2  # the orbit at the state's mean energy
-        orbit = solvable_orbit(sup.system, float(weights @ sup.energies))
+        period = float(families[0].period(float(weights @ sup.energies)))
+        payload["orbit_period"] = period
         # a peak within two grid spacings of a repetition of the period matches it
-        assoc = match_peaks_to_orbits(spec, [orbit], 2.0 * (times[1] - times[0]))
-        payload["orbit_period"] = orbit.period
-        payload["associations"] = [
-            {k: (None if isinstance(v, float) and math.isinf(v) else v)
-             for k, v in a.items()} for a in assoc
-        ]
+        payload["associations"] = match_peaks_to_orbits(spec, [period],
+                                                        2.0 * (times[1] - times[0]))
     _write_json(out / "peaks.json", payload)
     files.append(out / "peaks.json")
     return files
@@ -193,12 +188,7 @@ def _run_recurrence(scn: Scenario, out: Path) -> list[Path]:
 def _run_trace(scn: Scenario, out: Path) -> list[Path]:
     system, run = scn.system, scn.run
     out.mkdir(parents=True, exist_ok=True)
-    if system.dimension == 1 and system.kind == "harmonic":
-        families = [harmonic_orbit_family(system)]
-    elif system.dimension == 1 and system.kind == "box":
-        families = [box_orbit_family(system)]
-    else:
-        families = []  # mean density only (e.g. 2D box)
+    families = orbit_families(system)  # none: mean density only (e.g. 2D box)
     grid = np.linspace(run["e_min"], run["e_max"], run["n_grid"])
     density = trace_formula_density(system, families, grid, run["repetitions"], run["gamma"])
     density.to_csv(out / "density.csv")

@@ -14,7 +14,7 @@ whenever T is energy independent).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "OrbitFamily",
     "harmonic_orbit_family",
     "box_orbit_family",
+    "orbit_families",
     "LevelDensity",
     "trace_formula_density",
     "RecurrenceSpectrum",
@@ -121,6 +122,16 @@ def box_orbit_family(system: SolvableSystem) -> OrbitFamily:
     )
 
 
+def orbit_families(system: SolvableSystem) -> list[OrbitFamily]:
+    """The primitive periodic-orbit families of a system: the one family of a 1D
+    oscillator or box, none for any other system (its density is the mean alone)."""
+    if system.dimension == 1 and system.kind == "harmonic":
+        return [harmonic_orbit_family(system)]
+    if system.dimension == 1 and system.kind == "box":
+        return [box_orbit_family(system)]
+    return []
+
+
 @dataclass
 class LevelDensity:
     """Mean plus oscillatory level density on an energy grid."""
@@ -192,12 +203,11 @@ def _local_maxima(xs, ys, floor):
 
 @dataclass
 class RecurrenceSpectrum:
-    """|autocorrelation|(t) with detected peaks and orbit associations."""
+    """|autocorrelation|(t) with its detected peaks."""
 
     times: np.ndarray
     abs_c: np.ndarray
     peaks: list
-    associations: list = field(default_factory=list)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["t", "abs_C"], [self.times, self.abs_c])
@@ -222,18 +232,17 @@ def recurrence_spectrum(sup: Superposition, times) -> RecurrenceSpectrum:
     return RecurrenceSpectrum(times, abs_c, peaks)
 
 
-def match_peaks_to_orbits(spectrum: RecurrenceSpectrum, orbits, tol: float) -> list:
-    """Associate each peak with the orbit repetitions whose period matches.
+def match_peaks_to_orbits(spectrum: RecurrenceSpectrum, periods, tol: float) -> list:
+    """Associate each peak with the repetitions of the orbit periods that match it.
 
-    Every orbit repetition within `tol` of the peak time is listed (several
-    orbits can share a period); a peak with no candidate is flagged with
-    orbit None.  The associations are also stored on the spectrum.
+    Every repetition of a period within `tol` of the peak time is listed
+    (several orbits can share a period); a peak with no candidate is flagged
+    with orbit None and delta_t None.
     """
     associations = []
     for t_peak, height in spectrum.peaks:
         candidates = []
-        for idx, orb in enumerate(orbits):
-            period = orb.period if hasattr(orb, "period") else float(orb)
+        for idx, period in enumerate(periods):
             if period <= 0:
                 continue
             k = max(1, int(round(t_peak / period)))
@@ -255,7 +264,6 @@ def match_peaks_to_orbits(spectrum: RecurrenceSpectrum, orbits, tol: float) -> l
                 "peak_height": height,
                 "orbit": None,
                 "repetition": 0,
-                "delta_t": math.inf,
+                "delta_t": None,
             })
-    spectrum.associations = associations
     return associations

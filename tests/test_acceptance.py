@@ -232,9 +232,10 @@ def test_criterion_11_recurrence_orbit_matching(ho1d):
                                      for c, n in zip(np.exp(0.5 * logw), ns)])
     grid = np.linspace(0.0, 20.0, 4001)
     spec = sp.recurrence_spectrum(sup, grid)
-    orbit = ob.solvable_orbit(ho1d, energy=float(np.abs(sup.coefficients) ** 2 @ sup.energies))
+    fam = sp.harmonic_orbit_family(ho1d)
+    period = float(fam.period(float(np.abs(sup.coefficients) ** 2 @ sup.energies)))
     spacing = grid[1] - grid[0]
-    assoc = sp.match_peaks_to_orbits(spec, [orbit], tol=spacing)
+    assoc = sp.match_peaks_to_orbits(spec, [period], tol=spacing)
     matched = [a for a in assoc if a["orbit"] is not None]
     ok = (len(matched) >= 3
           and [a["repetition"] for a in matched[:3]] == [1, 2, 3]

@@ -14,11 +14,13 @@ def _load():
     return module
 
 
-def _tree(root, rows, report, unlisted):
-    """One run directory with a manifest listing data.csv and report.json, and one
-    input file beside it that no manifest lists."""
+def _tree(root, rows, report, unlisted, source="a = 1\n"):
+    """One run directory with a manifest listing data.csv and report.json, one
+    input file beside it that no manifest lists, and one module under src/."""
     run = root / "run"
     run.mkdir(parents=True)
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "mod.py").write_text(source)
     (run / "data.csv").write_text("t,x\n" + "".join(f"{t},{x}\n" for t, x in rows))
     (run / "report.json").write_text(report)
     (root / "compare.json").write_text(unlisted)
@@ -35,7 +37,9 @@ def test_outputs_compares_listed_files_only(tmp_path):
     assert bench_set.compare_outputs(base, head) == (
         ["  run/data.csv: identical", "  run/report.json: identical"], 0)
 
-    changed = _tree(tmp_path / "changed", [rows[0], (0.1, 0.2500000001), (0.2, 0.1)], "[]", "")
+    changed = _tree(tmp_path / "changed", [rows[0], (0.1, 0.2500000001), (0.2, 0.1)], "[]", "",
+                    source="a = 1\nb = 2\n\n")
+    assert bench_set.source_lines(base, changed) == "src/ lines: base 1 → head 3"
     lines, bad = bench_set.compare_outputs(base, changed)
     assert bad == 2
     assert lines == ["  run/data.csv: DIFFERS",

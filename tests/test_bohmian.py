@@ -59,6 +59,20 @@ def test_node_guard_raises(box1d):
         bm.integrate_bohmian(sup, [0.5], (0.0, 1.0))
 
 
+@pytest.mark.parametrize("run", [lambda sup, x0, t0: bm.integrate_bohmian(sup, x0, (t0, t0 + 0.5)),
+                                 lambda sup, x0, t0: bm.bohmian_lyapunov(sup, x0, 0.5, t0=t0)],
+                         ids=["trajectory", "lyapunov"])
+def test_start_on_a_node_raises(box1d, run):
+    """x = 1/3 is a node of the equal-weight two-mode box at t0 = pi hbar / (E2 - E1):
+    both entry points refuse the start before any step."""
+    sup = qm.Superposition.of(box1d, [(1, 1), (1, 2)])
+    t0 = math.pi / float(sup.energies[1] - sup.energies[0])
+    with pytest.raises(NodeSingularityError, match="x0 inside node guard band") as info:
+        run(sup, [1.0 / 3.0], t0)
+    assert info.value.t == t0
+    assert info.value.rho <= bm._node_threshold(sup)
+
+
 @pytest.mark.parametrize("tol", [1e-3, 1e-5])
 @pytest.mark.parametrize("x0", [0.001, 0.01, 0.99])
 def test_start_near_wall_stays_in_box(two_mode_box, x0, tol):

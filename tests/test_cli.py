@@ -13,6 +13,7 @@ from pilotwave import svgplot
 from pilotwave.config import build_system, load_scenario, validate_scenario
 from pilotwave.errors import ConfigError
 from pilotwave.runner import compare_report, run_scenario
+from pilotwave.spectra import orbit_families
 
 
 def _write(path, doc):
@@ -271,6 +272,26 @@ def test_recurrence_scenario(tmp_path):
     # the half-period partial revival has no classical partner: flagged
     unmatched = [a for a in peaks["associations"] if a["orbit"] is None]
     assert unmatched
+
+
+@pytest.mark.parametrize("state", [
+    _box_state(norm=math.sqrt(1.16)),
+    {"system": {"kind": "harmonic", "dimension": 1, "omegas": [1.3]},
+     "terms": [{"c_re": 1.0 / math.sqrt(3.0), "c_im": 0.0, "n": [n]} for n in range(3)]},
+], ids=["box", "oscillator"])
+def test_recurrence_orbit_period_is_the_family_period(tmp_path, state):
+    doc = {"schema": 1, "name": "rec", "kind": "recurrence", "state": state,
+           "run": {"t_max": 16.0, "samples": 3201}}
+    cfg = _write(tmp_path / "r.json", doc)
+    run_scenario(cfg, out_dir=tmp_path / "out")
+    text = (tmp_path / "out" / "peaks.json").read_text()
+    peaks = json.loads(text)
+    sup = load_scenario(cfg).state
+    energy = float(np.abs(sup.coefficients) ** 2 @ sup.energies)
+    assert peaks["orbit_period"] == float(orbit_families(sup.system)[0].period(energy))
+    unmatched = [a for a in peaks["associations"] if a["orbit"] is None]
+    assert unmatched and all(a["delta_t"] is None for a in unmatched)
+    assert '"delta_t": null' in text
 
 
 def test_trace_scenario(tmp_path):

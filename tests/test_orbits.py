@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from pilotwave import orbits as ob
+from pilotwave import spectra as sp
 from pilotwave import systems as sy
+from pilotwave.classical import integrate_classical
 from pilotwave.errors import DomainError
 
 
@@ -97,19 +100,40 @@ def test_search_needs_bound_regime():
 
 
 def test_harmonic_orbit_invariants(ho1d):
-    orbit = ob.solvable_orbit(ho1d, energy=2.0)
-    assert abs(orbit.action - 2.0 * math.pi * 2.0) < 1e-8  # S = 2 pi E / omega
-    assert abs(orbit.period - 2.0 * math.pi) < 1e-12
-    assert orbit.monodromy_trace == 2.0  # marginally stable
-    assert orbit.phase_index == 2
+    fam = sp.harmonic_orbit_family(ho1d)
+    assert abs(fam.action(2.0) - 2.0 * math.pi * 2.0) < 1e-8  # S = 2 pi E / omega
+    assert abs(fam.period(2.0) - 2.0 * math.pi) < 1e-12
+    assert fam.orbit_class == "integrable_1d"  # marginally stable
+    assert fam.phase_per_period == math.pi  # two turning points, pi/2 each
 
 
 def test_box_orbit_invariants(box1d):
     e = 3.0
-    orbit = ob.solvable_orbit(box1d, energy=e)
+    fam = sp.box_orbit_family(box1d)
     p = math.sqrt(2.0 * e)
-    assert abs(orbit.action - 2.0 * p) < 1e-12
-    assert abs(orbit.period - 2.0 / p) < 1e-12
+    assert abs(fam.action(e) - 2.0 * p) < 1e-12  # S = 2 L sqrt(2 m E)
+    assert abs(fam.period(e) - 2.0 / p) < 1e-12  # T = 2 L sqrt(m / 2E)
+    assert fam.orbit_class == "integrable_1d"
+    assert fam.phase_per_period == 2.0 * math.pi  # two hard walls, pi each
+
+
+@pytest.mark.parametrize("name, energy, tol", [("ho1d", 2.0, 1e-8), ("box1d", 3.0, 1e-12)])
+def test_integrated_period_action_matches_family(request, name, energy, tol):
+    """One integrated period from a turning point (oscillator) or the left wall (box):
+    Simpson of p^2/m over 2,001 dense samples is the family's action."""
+    system = request.getfixturevalue(name)
+    fam = sp.orbit_families(system)[0]
+    m = system.constants.mass
+    if system.kind == "harmonic":
+        w = system.omegas[0]
+        start = sy.PhaseState((math.sqrt(2.0 * energy / (m * w * w)),), (0.0,))
+    else:
+        start = sy.PhaseState((0.0,), (math.sqrt(2.0 * m * energy),))
+    period = float(fam.period(energy))
+    tt = np.linspace(0.0, period, 2001)
+    samples = integrate_classical(system, start, period, tol=ob.TOL).at(tt)
+    assert abs(simpson(samples[:, 1] ** 2 / m, x=tt) - fam.action(energy)) < tol
+    assert abs(samples[-1, 0] - start.q[0]) < 1e-8  # back where it started
 
 
 def test_degenerate_orbit_rejected(orbits_eps1):

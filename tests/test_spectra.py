@@ -4,7 +4,6 @@ import numpy as np
 import oracles
 import pytest
 
-from pilotwave import orbits as ob
 from pilotwave import quantum as qm
 from pilotwave import spectra as sp
 from pilotwave import systems as sy
@@ -236,21 +235,21 @@ def test_peak_floor_and_plateau():
 
 
 def test_match_peaks(ho1d):
-    orbit = ob.solvable_orbit(ho1d, 4.0)
+    period = float(sp.harmonic_orbit_family(ho1d).period(4.0))
     spec = sp.RecurrenceSpectrum(np.linspace(0, 20, 101), np.zeros(101),
                                  peaks=[(2.0 * math.pi, 0.9), (4.0 * math.pi, 0.8), (3.0, 0.5)])
-    assoc = sp.match_peaks_to_orbits(spec, [orbit], tol=0.05)
+    assoc = sp.match_peaks_to_orbits(spec, [period], tol=0.05)
     by_peak = {round(a["peak_t"], 6): a for a in assoc}
     assert by_peak[round(2.0 * math.pi, 6)]["repetition"] == 1
     assert by_peak[round(4.0 * math.pi, 6)]["repetition"] == 2
     assert by_peak[3.0]["orbit"] is None  # flagged unmatched
     empty = sp.RecurrenceSpectrum(np.linspace(0, 1, 11), np.zeros(11), peaks=[])
-    assert sp.match_peaks_to_orbits(empty, [orbit], tol=0.05) == []
+    assert sp.match_peaks_to_orbits(empty, [period], tol=0.05) == []
 
 
 def test_match_lists_all_orbits_within_tolerance(ho1d):
-    a = ob.solvable_orbit(ho1d, 2.0)
-    b = ob.solvable_orbit(ho1d, 3.0)  # same period: both must be listed
+    fam = sp.harmonic_orbit_family(ho1d)
+    a, b = float(fam.period(2.0)), float(fam.period(3.0))  # same period: both must be listed
     spec = sp.RecurrenceSpectrum(np.linspace(0, 10, 11), np.zeros(11),
                                  peaks=[(2.0 * math.pi, 1.0)])
     assoc = sp.match_peaks_to_orbits(spec, [a, b], tol=0.05)
