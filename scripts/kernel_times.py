@@ -15,7 +15,13 @@ least mean time per call is printed, in microseconds:
   `ensemble-batch` two-mode box state, one call;
 - batched amplitude: |psi| at the same points from the order-0 sums
   (`quantum._batched` at order 0), what the sampler and the node finder read;
-- diamagnetic rhs: `classical._diamagnetic_rhs` at eps = -0.15, one call.
+- diamagnetic rhs: `classical._diamagnetic_rhs` at eps = -0.15, one call;
+- diamagnetic tangent rhs: `classical._diamagnetic_tangent_rhs` there, the
+  classical Lyapunov run;
+- monodromy rhs: `orbits._monodromy_rhs` there, the closed-orbit build;
+- dense query, one time: the state at one time inside a step of a
+  close-approach run at eps = -0.15 (`DenseOutput.on_step`), what each
+  `brentq` iteration of an event root reads.
 
 The one-point kernels run on the criterion-8 state (2D anisotropic
 oscillator, four terms) at (-0.4, -0.8), t = 1.
@@ -37,7 +43,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from pilotwave import bohmian, classical, quantum, systems  # noqa: E402
+from pilotwave import bohmian, classical, orbits, quantum, systems  # noqa: E402
+from pilotwave.integrate import solve_ivp  # noqa: E402
 
 
 def kernels() -> list[tuple[str, object, int]]:
@@ -50,6 +57,13 @@ def kernels() -> list[tuple[str, object, int]]:
     point, t = [-0.4, -0.8], 1.0
     rhs = classical._diamagnetic_rhs(-0.15)
     state = [0.3, 0.5, 1.2, -1.4, 0.0, 0.0]
+    tangent_rhs, tangent = classical._diamagnetic_tangent_rhs(-0.15), state[:4] + [0.5] * 4 + [0.0]
+    monodromy_rhs, monodromy = orbits._monodromy_rhs(-0.15), state + np.eye(4).ravel().tolist()
+    run = solve_ivp(lambda t, y: classical._flow_jacobian(y, -0.15)[:4], (0.0, 6.0),
+                    classical.launch_from_nucleus(0.7).as_array(), rtol=1e-11, atol=1e-11,
+                    dense_output=True)
+    k = run.t.size // 2
+    step, inside = run.sol.on_step(k), float(0.7 * run.t[k] + 0.3 * run.t[k + 1])
     return [
         ("point guidance", lambda: bohmian._point_guidance(aniso, point, t), 1000),
         ("amplitude only", lambda: bohmian._point_amplitude(aniso, point, t), 1000),
@@ -58,6 +72,9 @@ def kernels() -> list[tuple[str, object, int]]:
         ("batched amplitude, 1e5 points",
          lambda: np.abs(quantum._batched(box, members[:, 0], 0.3, 0)), 2),
         ("diamagnetic rhs", lambda: rhs(0.0, state), 1000),
+        ("diamagnetic tangent rhs", lambda: tangent_rhs(0.0, tangent), 1000),
+        ("monodromy rhs", lambda: monodromy_rhs(0.0, monodromy), 1000),
+        ("dense query, one time", lambda: step(inside), 1000),
     ]
 
 

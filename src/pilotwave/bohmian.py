@@ -117,8 +117,8 @@ def _point_guidance(sup: Superposition, p, t: float):
 
 
 def _point_amplitude(sup: Superposition, p, t: float) -> float:
-    """|psi| at one point p of D floats (an array of shape (D,) in an event's root
-    search) at a float time, box points held as in `_guidance`."""
+    """|psi| at one point p of D floats (or an array of shape (D,), a start or a node
+    report) at a float time, box points held as in `_guidance`."""
     if not isinstance(p, list):
         p = p.tolist()
     return abs(_term_sum(sup, _held_inside(sup.system, p), t, 0)[0])
@@ -319,8 +319,8 @@ def bohmian_lyapunov(
     One DOP853 run carries the position, a unit tangent vector and its
     accumulated log growth (`classical._tangent_rhs`), with the guidance
     Jacobian from the Hessian of psi (`_guidance_jacobian`).  A node halt
-    yields a partial estimate with the flag set; its time comes from the
-    run's dense output, rebuilt with one column per time.
+    yields a partial estimate with the flag set; its time is the node
+    event's root on the interpolant of the run's last step.
     """
     x0, threshold = _start(sup, x0, float(t0))
     if horizon <= 0:

@@ -54,33 +54,18 @@ def regularized_hamiltonian(y, epsilon: float):
     return 0.5 * (pmu * pmu + pnu * pnu) - epsilon * r2 + 0.125 * mu * mu * nu * nu * r2
 
 
-def _flow(y, eps):
-    """(mu', nu', p_mu', p_nu') of the regularized flow; y[0:4] = (mu, nu, p_mu, p_nu).
-
-    The state runs along the leading axis; extra components past the
-    fourth (integrator quadratures, tangent vectors) are ignored.
-    """
-    mu, nu, pmu, pnu = y[0], y[1], y[2], y[3]
-    mu2, nu2 = mu * mu, nu * nu
-    return (pmu, pnu,
-            2.0 * eps * mu - 0.25 * mu * nu2 * (2.0 * mu2 + nu2),
-            2.0 * eps * nu - 0.25 * nu * mu2 * (2.0 * nu2 + mu2))
-
-
-def _tangent(y, eps, v):
-    """J(y) v for the regularized flow: _flow's derivative at y along v, component style.
-
-    v stacks tangent vectors as v[0:4], v[4:8], ...; so does the result.
-    """
+def _flow_jacobian(y, eps):
+    """(mu', nu', p_mu', p_nu', a, b, c): the regularized flow at y = (mu, nu, p_mu, p_nu)
+    and its Jacobian, rows (0, 0, 1, 0), (0, 0, 0, 1), (a, b, 0, 0) and (b, c, 0, 0); the
+    kernel of every diamagnetic right-hand side.  Components past the fourth are ignored."""
     mu, nu = y[0], y[1]
     mu2, nu2 = mu * mu, nu * nu
-    a = 2.0 * eps - 0.25 * nu2 * (6.0 * mu2 + nu2)
-    b = -mu * nu * (mu2 + nu2)
-    c = 2.0 * eps - 0.25 * mu2 * (6.0 * nu2 + mu2)
-    out = []
-    for j in range(0, len(v), 4):
-        out += (v[j + 2], v[j + 3], a * v[j] + b * v[j + 1], b * v[j] + c * v[j + 1])
-    return out
+    return (y[2], y[3],
+            2.0 * eps * mu - 0.25 * mu * nu2 * (2.0 * mu2 + nu2),
+            2.0 * eps * nu - 0.25 * nu * mu2 * (2.0 * nu2 + mu2),
+            2.0 * eps - 0.25 * nu2 * (6.0 * mu2 + nu2),
+            -mu * nu * (mu2 + nu2),
+            2.0 * eps - 0.25 * mu2 * (6.0 * nu2 + mu2))
 
 
 def regularized_to_physical(y):
@@ -184,7 +169,8 @@ def _diamagnetic_rhs(eps):
     """The regularized flow, then its physical-time and reduced-action quadratures,
     dt = (mu^2 + nu^2) dtau and dS = (p_mu^2 + p_nu^2) dtau.  Component style."""
     def rhs(t, y):
-        return (*_flow(y, eps), y[0] * y[0] + y[1] * y[1], y[2] * y[2] + y[3] * y[3])
+        f0, f1, f2, f3, _, _, _ = _flow_jacobian(y, eps)
+        return (f0, f1, f2, f3, y[0] * y[0] + y[1] * y[1], y[2] * y[2] + y[3] * y[3])
 
     return rhs
 
@@ -389,8 +375,22 @@ def _tangent_rhs(n, field):
     return rhs
 
 
+def _diamagnetic_tangent_rhs(eps):
+    """`_tangent_rhs` of the regularized flow as one function of (y, u, Lambda): J u from
+    `_flow_jacobian`, then the growth and the renormalization in `_tangent_rhs`'s order."""
+    def rhs(t, z):
+        f0, f1, f2, f3, a, b, c = _flow_jacobian(z, eps)
+        u0, u1, u2, u3 = z[4], z[5], z[6], z[7]
+        j2, j3 = a * u0 + b * u1, b * u0 + c * u1
+        growth = 0.0 + u0 * u2 + u1 * u3 + u2 * j2 + u3 * j3  # sum()'s: from 0, so -0.0 is 0.0
+        return (f0, f1, f2, f3, u2 - growth * u0, u3 - growth * u1,
+                j2 - growth * u2, j3 - growth * u3, growth)
+
+    return rhs
+
+
 def _tangent_run(system, y0, horizon, tol):
-    """DOP853 run of `_tangent_rhs` from y0, u along (1, ..., 1), over [0, horizon].
+    """DOP853 run of the tangent flow from y0, u along (1, ..., 1), over [0, horizon].
 
     A solvable flow is linear, so J u is its right-hand side at u.  A
     diamagnetic run is sampled 20 times per unit time for the coverage, both
@@ -398,16 +398,14 @@ def _tangent_run(system, y0, horizon, tol):
     """
     n, t_eval = y0.size, None
     if isinstance(system, DiamagneticSystem):
-        eps = system.epsilon
-        field = lambda t, y, u: (_flow(y, eps), _tangent(y, eps, u))  # noqa: E731
+        rhs = _diamagnetic_tangent_rhs(system.epsilon)
         t_eval = np.concatenate([np.linspace(a, min(a + 1.0, horizon), 20)
                                  for a in np.arange(0.0, horizon - 1e-12, 1.0)])
     else:
         flow = _solvable_rhs(system)
-        field = lambda t, y, u: (flow(t, y), flow(t, u))  # noqa: E731
+        rhs = _tangent_rhs(n, lambda t, y, u: (flow(t, y), flow(t, u)))
     z0 = np.concatenate([y0, np.full(n, 1.0 / math.sqrt(n)), [0.0]])
-    return solve_ivp(_tangent_rhs(n, field), (0.0, horizon), z0, rtol=tol, atol=tol,
-                     t_eval=t_eval)
+    return solve_ivp(rhs, (0.0, horizon), z0, rtol=tol, atol=tol, t_eval=t_eval)
 
 
 def _roots(f, a, b, *args):

@@ -11,9 +11,9 @@ the tableau scipy publishes on `scipy.integrate.DOP853`.
 
 Right-hand sides and event functions are written in component style: they
 index the components of the state and return a sequence (an event returns
-one value).  While stepping they receive a list of floats; while the dense
-output is rebuilt, arrays of shape (D, M) with one column per step; in an
-event's root search, an array of shape (D,).
+one value).  They receive a list of floats while stepping and in an event's
+root search; while the dense output is rebuilt, arrays of shape (D, M) with
+one column per step.
 """
 
 from __future__ import annotations
@@ -115,6 +115,24 @@ class DenseOutput:
             out[:, tq == self.t[-1]] = self.y[:, -1:]
         return out[:, 0] if scalar else out
 
+    def on_step(self, k):
+        """Step k's interpolant for one time in Python floats, t -> the state as a list:
+        a query's Horner scheme, and the recorded state at the step's end."""
+        if self._coeffs is None:
+            self._rebuild()
+        t0, t1, end = self.t[k].item(), self.t[k + 1].item(), self.y[:, k + 1].tolist()
+        rows = [*zip(*self._coeffs[:, :, k].tolist(), self.y[:, k].tolist())]
+
+        def state(t):
+            if t == t1:
+                return end
+            x = (t - t0) / (t1 - t0)
+            x1 = 1.0 - x
+            return [((((((((0.0 + c6) * x + c5) * x1 + c4) * x + c3) * x1 + c2) * x + c1) * x1
+                      + c0) * x + y) for c6, c5, c4, c3, c2, c1, c0, y in rows]
+
+        return state
+
 
 class _Compiled:
     """scipy's compiled dopri853 behind two callbacks that never change.
@@ -191,7 +209,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, e
 
     `events` is one function, scipy's single-callable form: `direction` picks
     its crossings, a `terminal` event ends the run at its first root, and
-    roots are refined by `brentq` on the dense output.  With `t_eval` the
+    roots are refined by `brentq` on the interpolant of the step that crossed
+    (`DenseOutput.on_step`), in Python floats.  With `t_eval` the
     result holds those samples up to where the run ended, else every step.
     A run the stepper ends early (too many steps, a step too small, a problem
     that looks stiff) raises IntegrationError carrying the steps so far; so
@@ -261,10 +280,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, e
     dense = DenseOutput(fun, times, states)
     t_events = y_events = None
     if events is not None:
-        roots = np.array([brentq(lambda t: events(t, dense(t)), times[k], times[k + 1],
-                                 xtol=_ROOT_TOL, rtol=_ROOT_TOL) for k in hits])
-        # one query for every root, made only if there is one: a query builds the dense output
-        t_events, y_events = [roots], [dense(roots).T if hits else np.empty((0, y0.size))]
+        steps = [dense.on_step(k) for k in hits]
+        roots = [brentq(lambda t: events(t, state(t)), times[k], times[k + 1],
+                        xtol=_ROOT_TOL, rtol=_ROOT_TOL) for state, k in zip(steps, hits)]
+        t_events = [np.array(roots)]
+        y_events = [np.array([state(r) for state, r in zip(steps, roots)]).reshape(-1, y0.size)]
     if status:
         dense.end = roots[-1]
         times = np.append(times[:-1], roots[-1])

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from .classical import _diamagnetic_rhs, _flow, _tangent, launch_from_nucleus
+from .classical import _flow_jacobian, launch_from_nucleus
 from .errors import DomainError, IntegrationError
 from .integrate import solve_ivp
 from .systems import DiamagneticSystem
@@ -59,13 +59,17 @@ class ClosedOrbit:
 
 def _close_approaches(system, theta, tau_max, capture_radius):
     """Integrate one launch and list close approaches (tau, R, miss L)."""
+    eps = system.epsilon
+
+    def rhs(t, y):
+        return _flow_jacobian(y, eps)[:4]
+
     def radial_min(t, y):
         # d(R^2)/dtau / 2 crosses zero upward at a closest approach
         return y[0] * y[2] + y[1] * y[3]
 
     radial_min.direction = 1.0
-    y0 = launch_from_nucleus(theta).as_array()
-    res = solve_ivp(lambda t, y: _flow(y, system.epsilon), (0.0, tau_max), y0,
+    res = solve_ivp(rhs, (0.0, tau_max), launch_from_nucleus(theta).as_array(),
                     rtol=TOL, atol=TOL, events=radial_min)
     out = []
     for te, ye in zip(res.t_events[0], res.y_events[0]):
@@ -109,22 +113,28 @@ def _closure(launch, bracket, tau_ref, closure_tol):
     return theta, tau, resid
 
 
-def _build_orbit(system, theta, tau_period):
-    """A ClosedOrbit from one DOP853 run over one closure.
-
-    The run carries the path, the physical-time and action quadratures and
-    the monodromy matrix M by columns, z[6 + 4 j + i] = M[i][j].  Conjugate
-    points are sign changes of det(dq/dp0) strictly inside the run; the
-    refocusing zero at the endpoint itself is not counted.
-    """
-    eps = system.epsilon
-    flow = _diamagnetic_rhs(eps)
-
+def _monodromy_rhs(eps):
+    """The regularized flow, its two quadratures (`_diamagnetic_rhs`) and J M for the
+    monodromy matrix M by columns, z[6 + 4 j + i] = M[i][j], as one function."""
     def rhs(t, z):
-        return (*flow(t, z), *_tangent(z, eps, z[6:]))
+        f0, f1, f2, f3, a, b, c = _flow_jacobian(z, eps)
+        return (f0, f1, f2, f3, z[0] * z[0] + z[1] * z[1], z[2] * z[2] + z[3] * z[3],
+                z[8], z[9], a * z[6] + b * z[7], b * z[6] + c * z[7],
+                z[12], z[13], a * z[10] + b * z[11], b * z[10] + c * z[11],
+                z[16], z[17], a * z[14] + b * z[15], b * z[14] + c * z[15],
+                z[20], z[21], a * z[18] + b * z[19], b * z[18] + c * z[19])
 
+    return rhs
+
+
+def _build_orbit(system, theta, tau_period):
+    """A ClosedOrbit from one DOP853 run of `_monodromy_rhs` over one closure.
+
+    Conjugate points are sign changes of det(dq/dp0) strictly inside the run;
+    the refocusing zero at the endpoint itself is not counted.
+    """
     z0 = np.concatenate([launch_from_nucleus(theta).as_array(), [0.0, 0.0], np.eye(4).ravel()])
-    res = solve_ivp(rhs, (0.0, tau_period), z0, rtol=TOL, atol=TOL,
+    res = solve_ivp(_monodromy_rhs(system.epsilon), (0.0, tau_period), z0, rtol=TOL, atol=TOL,
                     t_eval=np.linspace(0.0, tau_period, 2001))
     path, m = res.y[:4].T, res.y[6:]
     # det of the position-vs-initial-momentum block [[M02, M03], [M12, M13]] along the run

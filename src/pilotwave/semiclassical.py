@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import _solvable_rhs, _stiffness
+from .classical import _stiffness
 from .errors import DomainError, TurningPointError
 from .integrate import solve_ivp
 from .systems import SolvableSystem
@@ -69,11 +69,10 @@ def _shoot(system: SolvableSystem, x1: float, p0: float, dt: float, tol: float):
     """
     m = system.constants.mass
     k = _stiffness(system)[0]
-    flow = _solvable_rhs(system)
 
     def rhs(t, y):
-        x, p = y[0], y[1]
-        return (*flow(t, y), *flow(t, y[2:]), p * p / (2.0 * m) - 0.5 * k * x * x)
+        x, p, j, jp = y[0], y[1], y[2], y[3]
+        return (p / m, -k * x, jp / m, -k * j, p * p / (2.0 * m) - 0.5 * k * x * x)
 
     return solve_ivp(rhs, (0.0, dt), (x1, p0, 0.0, 1.0, 0.0), rtol=tol, atol=tol,
                      dense_output=True)

@@ -8,6 +8,14 @@ into the running totals.  `guidance`, `amplitude` and `jacobian` form from
 them, with the formulas `bohmian` uses, what the guidance flow reads.  They
 read the same per-axis ladders as the kernel, at their full order.
 
+`flow` and `tangent` are the regularized diamagnetic flow and its J v,
+component style, as `classical` wrote them before the one kernel
+`classical._flow_jacobian` replaced both.  `diamagnetic_rhs`,
+`diamagnetic_tangent_rhs`, `monodromy_rhs` and `shoot_rhs` are the
+right-hand sides that `classical`, `orbits` and `semiclassical` composed from
+them, and from `classical._tangent_rhs` and `classical._solvable_rhs`, before
+each became one function.
+
 The rest are references that no scenario, command or benchmark workload
 runs, each independent of the code it checks:
 - `eigenfunction`, one mode at a time, with its own sin and Hermite
@@ -32,6 +40,7 @@ import math
 import numpy as np
 
 from pilotwave import bohmian as bm
+from pilotwave import classical as cl
 from pilotwave import quantum as qm
 from pilotwave.classical import Trajectory
 from pilotwave.errors import DomainError, NodeSingularityError
@@ -126,6 +135,75 @@ def jacobian(sup, point, t):
     a = [g * inv for g in grad]
     jac = [[q * (hij * inv - ai * aj).imag for hij, aj in zip(row, a)] for row, ai in zip(hess, a)]
     return [q * ai.imag for ai in a], jac
+
+
+# classical: the diamagnetic right-hand sides as compositions of a flow and its J v
+
+
+def flow(y, eps):
+    """(mu', nu', p_mu', p_nu') of the regularized flow; y[0:4] = (mu, nu, p_mu, p_nu).
+
+    The state runs along the leading axis; extra components past the
+    fourth (integrator quadratures, tangent vectors) are ignored.
+    """
+    mu, nu, pmu, pnu = y[0], y[1], y[2], y[3]
+    mu2, nu2 = mu * mu, nu * nu
+    return (pmu, pnu,
+            2.0 * eps * mu - 0.25 * mu * nu2 * (2.0 * mu2 + nu2),
+            2.0 * eps * nu - 0.25 * nu * mu2 * (2.0 * nu2 + mu2))
+
+
+def tangent(y, eps, v):
+    """J(y) v for the regularized flow: flow's derivative at y along v, component style.
+
+    v stacks tangent vectors as v[0:4], v[4:8], ...; so does the result.
+    """
+    mu, nu = y[0], y[1]
+    mu2, nu2 = mu * mu, nu * nu
+    a = 2.0 * eps - 0.25 * nu2 * (6.0 * mu2 + nu2)
+    b = -mu * nu * (mu2 + nu2)
+    c = 2.0 * eps - 0.25 * mu2 * (6.0 * nu2 + mu2)
+    out = []
+    for j in range(0, len(v), 4):
+        out += (v[j + 2], v[j + 3], a * v[j] + b * v[j + 1], b * v[j] + c * v[j + 1])
+    return out
+
+
+def diamagnetic_rhs(eps):
+    """The flow, then its physical-time and reduced-action quadratures."""
+    def rhs(t, y):
+        return (*flow(y, eps), y[0] * y[0] + y[1] * y[1], y[2] * y[2] + y[3] * y[3])
+
+    return rhs
+
+
+def diamagnetic_tangent_rhs(eps):
+    """(y, u, Lambda) through the generic tangent flow with the field (flow, tangent)."""
+    return cl._tangent_rhs(4, lambda t, y, u: (flow(y, eps), tangent(y, eps, u)))
+
+
+def monodromy_rhs(eps):
+    """The flow, its quadratures and J M for M by columns, z[6 + 4 j + i] = M[i][j]."""
+    quadratures = diamagnetic_rhs(eps)
+
+    def rhs(t, z):
+        return (*quadratures(t, z), *tangent(z, eps, z[6:]))
+
+    return rhs
+
+
+def shoot_rhs(system):
+    """(x, p, J, Jp, R) of a 1D solvable system: Hamilton's equations for the path and
+    its Jacobi field, and the Lagrangian p^2/2m - k x^2/2."""
+    m = system.constants.mass
+    k = cl._stiffness(system)[0]
+    hamilton = cl._solvable_rhs(system)
+
+    def rhs(t, y):
+        x, p = y[0], y[1]
+        return (*hamilton(t, y), *hamilton(t, y[2:]), p * p / (2.0 * m) - 0.5 * k * x * x)
+
+    return rhs
 
 
 # quantum: eigenfunctions one mode at a time

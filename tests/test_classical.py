@@ -5,9 +5,11 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
 from pilotwave import classical as cl
+from pilotwave import orbits as ob
 from pilotwave import systems as sy
 from pilotwave.errors import DomainError
 
@@ -15,7 +17,7 @@ from pilotwave.errors import DomainError
 def test_rest_point_symmetry():
     """mu = nu with zero momentum: velocities vanish, forces mirror."""
     dia = sy.DiamagneticSystem.scaled(-0.4)
-    d = cl._flow(np.array([0.8, 0.8, 0.0, 0.0]), dia.epsilon)
+    d = cl._flow_jacobian(np.array([0.8, 0.8, 0.0, 0.0]), dia.epsilon)[:4]
     assert d[0] == 0.0 and d[1] == 0.0
     assert math.isclose(d[2], d[3], rel_tol=1e-15)
 
@@ -36,14 +38,14 @@ def test_derivative_matches_hamiltonian_gradient():
 
     # the axial probe of the docsheet: (1, 0, 0, 0)
     y = np.array([1.0, 0.0, 0.0, 0.0])
-    d = cl._flow(y, dia.epsilon)
+    d = cl._flow_jacobian(y, dia.epsilon)[:4]
     g = grad_fd(y)
     assert abs(d[2] + g[0]) < 1e-8
 
     rng = np.random.default_rng(0)
     for _ in range(10):
         y = rng.uniform(-1.5, 1.5, 4)
-        d = np.array(cl._flow(y, dia.epsilon))
+        d = np.array(cl._flow_jacobian(y, dia.epsilon)[:4])
         g = grad_fd(y)
         expected = np.array([g[2], g[3], -g[0], -g[1]])
         assert np.max(np.abs(d - expected)) / np.max(np.abs(expected)) < 1e-8
@@ -436,9 +438,27 @@ def test_flow_jacobian_matches_central_differences(y, eps):
         yp, ym = y.copy(), y.copy()
         yp[j] += h
         ym[j] -= h
-        fd[:, j] = (np.array(cl._flow(yp, eps)) - np.array(cl._flow(ym, eps))) / (2.0 * h)
-    jac = np.array([cl._tangent(y, eps, e) for e in np.eye(4)]).T  # columns J e_j
+        fd[:, j] = (np.array(cl._flow_jacobian(yp, eps)[:4])
+                    - np.array(cl._flow_jacobian(ym, eps)[:4])) / (2.0 * h)
+    a, b, c = cl._flow_jacobian(y, eps)[4:]
+    jac = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [a, b, 0.0, 0.0], [b, c, 0.0, 0.0]])
     assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=hnp.arrays(float, (22, 3), elements=_coord), eps=_eps)
+def test_diamagnetic_rhs_match_their_compositions(columns, eps):
+    """Each diamagnetic right-hand side, one function on `_flow_jacobian`, gives the bits of
+    the composition it replaced: on Python floats, as while stepping, and on (D, M) arrays,
+    as in the dense rebuild."""
+    cases = [(lambda t, y: cl._flow_jacobian(y, eps)[:4], lambda t, y: oracles.flow(y, eps), 4),
+             (cl._diamagnetic_rhs(eps), oracles.diamagnetic_rhs(eps), 6),
+             (cl._diamagnetic_tangent_rhs(eps), oracles.diamagnetic_tangent_rhs(eps), 9),
+             (ob._monodromy_rhs(eps), oracles.monodromy_rhs(eps), 22)]
+    values = columns[:, 0].tolist()
+    for ours, reference, n in cases:
+        for z in (values[:n], columns[:n]):
+            assert np.asarray(ours(0.0, z)).tobytes() == np.asarray(reference(0.0, z)).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -446,5 +466,5 @@ def test_flow_jacobian_matches_central_differences(y, eps):
 def test_flow_z_reflection_symmetry(y, eps):
     """mu <-> nu (with p_mu <-> p_nu) is z -> -z and maps the flow onto itself."""
     swap = [1, 0, 3, 2]
-    f = np.array(cl._flow(y, eps))
-    np.testing.assert_array_equal(np.array(cl._flow(y[swap], eps)), f[swap])
+    f = np.array(cl._flow_jacobian(y, eps)[:4])
+    np.testing.assert_array_equal(np.array(cl._flow_jacobian(y[swap], eps)[:4]), f[swap])

@@ -7,14 +7,29 @@ import weakref
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.optimize import brentq
 
+from pilotwave import bohmian as bm
 from pilotwave import classical as cl
+from pilotwave import quantum as qm
 from pilotwave import systems as sy
 from pilotwave.errors import DomainError, IntegrationError
-from pilotwave.integrate import solve_ivp
+from pilotwave.integrate import DenseOutput, solve_ivp
 
 TOL = 1e-12
 EVENT_ATOL = 1e-9
+ROOT_TOL = 4.0 * np.finfo(float).eps  # scipy's event-root tolerance
+
+
+def _bits(values):
+    """The IEEE bits of every number: equal bits mean equal numbers and signs of zero."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _brentq_on_dense(event, dense, k):
+    """The root of event(t, dense(t)) in step k, by array queries of the whole dense output."""
+    return brentq(lambda t: event(t, dense(t)), dense.t[k], dense.t[k + 1],
+                  xtol=ROOT_TOL, rtol=ROOT_TOL)
 
 
 def _both(fun, t_span, y0, **kwargs):
@@ -23,6 +38,11 @@ def _both(fun, t_span, y0, **kwargs):
                           rtol=TOL, atol=TOL, **kwargs)
     assert ours.status >= 0 and ref.success
     return ours, ref
+
+
+def _flow(eps):
+    """The regularized diamagnetic flow as a right-hand side."""
+    return lambda t, y: cl._flow_jacobian(y, eps)[:4]
 
 
 def _radial_min(t, y):
@@ -38,8 +58,7 @@ _LAUNCHES = [(eps, theta) for eps in (-1.0, -0.15)
 @pytest.mark.parametrize("eps,theta", _LAUNCHES)
 def test_diamagnetic_launch_matches_scipy(eps, theta):
     y0 = cl.launch_from_nucleus(theta).as_array()
-    ours, ref = _both(lambda t, y: cl._flow(y, eps), (0.0, 6.0), y0,
-                      dense_output=True, events=_radial_min)
+    ours, ref = _both(_flow(eps), (0.0, 6.0), y0, dense_output=True, events=_radial_min)
     assert ours.t[-1] == 6.0
     np.testing.assert_allclose(ours.y[:, -1], ref.y[:, -1], rtol=0, atol=50 * TOL)
     tt = np.sort(np.random.default_rng(9).uniform(0.0, 6.0, 200))
@@ -84,16 +103,62 @@ def test_solvable_systems_match_scipy(system, q0, p0):
 
 def test_interpolant_returns_every_recorded_step_exactly():
     y0 = cl.launch_from_nucleus(0.7).as_array()
-    res = solve_ivp(lambda t, y: cl._flow(y, -0.15), (0.0, 6.0), y0, rtol=1e-10, atol=1e-10,
-                    dense_output=True)
+    res = solve_ivp(_flow(-0.15), (0.0, 6.0), y0, rtol=1e-10, atol=1e-10, dense_output=True)
     assert res.t.size > 20
     np.testing.assert_array_equal(res.sol(res.t), res.y)
     for k in (0, 1, res.t.size // 2, res.t.size - 1):
         np.testing.assert_array_equal(res.sol(res.t[k]), res.y[:, k])
     # t_eval samples at step times are the recorded states themselves
-    sampled = solve_ivp(lambda t, y: cl._flow(y, -0.15), (0.0, 6.0), y0, rtol=1e-10,
-                        atol=1e-10, t_eval=res.t[::3])
+    sampled = solve_ivp(_flow(-0.15), (0.0, 6.0), y0, rtol=1e-10, atol=1e-10,
+                        t_eval=res.t[::3])
     np.testing.assert_array_equal(sampled.y, res.y[:, ::3])
+
+
+def test_step_interpolant_matches_dense_queries():
+    """`on_step(k)` in Python floats gives a query's bits inside step k and at both ends."""
+    y0 = cl.launch_from_nucleus(0.7).as_array()
+    res = solve_ivp(_flow(-0.15), (0.0, 6.0), y0, rtol=1e-10, atol=1e-10, dense_output=True)
+    last = res.t.size - 2
+    fractions = np.random.default_rng(12).uniform(0.0, 1.0, 6)
+    for k in (0, 1, last // 2, last):
+        state, (a, b) = res.sol.on_step(k), res.t[k:k + 2]
+        for t in (a, *(a + fractions * (b - a)), b):
+            assert _bits(state(float(t))) == _bits(res.sol(float(t)))
+    assert _bits(res.sol.on_step(last)(6.0)) == _bits(res.y[:, -1])
+    # a step whose end is not y_k + (y_k+1 - y_k) in floats: both give the recorded end
+    made = DenseOutput(lambda t, y: (-y[0],), [0.0, 0.5], [[0.1, -1e-17]])
+    assert made.on_step(0)(0.5) == made(0.5).tolist() == [-1e-17]
+
+
+def test_close_approach_roots_are_brentq_on_the_dense_output():
+    """Not terminal, direction +1: every root and its state, bit for bit."""
+    y0 = cl.launch_from_nucleus(0.7).as_array()
+    res = solve_ivp(_flow(-0.15), (0.0, 6.0), y0, rtol=1e-11, atol=1e-11, dense_output=True,
+                    events=_radial_min)
+    g = [_radial_min(t, y) for t, y in zip(res.t, res.y.T)]
+    hits = [k for k in range(len(g) - 1) if g[k] <= 0.0 <= g[k + 1]]
+    roots = [_brentq_on_dense(_radial_min, res.sol, k) for k in hits]
+    assert res.status == 0 and len(roots) >= 3
+    assert _bits(res.t_events[0]) == _bits(roots)
+    assert _bits(res.y_events[0]) == _bits(res.sol(np.array(roots)).T)
+
+
+def test_terminal_node_halt_root_is_brentq_on_the_dense_output():
+    """integrate_bohmian's node event ends the run in its last step, at the same root."""
+    sup = qm.Superposition.of(sy.box_1d(1.0), [(1.0, 1), (0.4, 2)])
+    traj = bm.integrate_bohmian(sup, [0.001], (0.0, 6.0), tol=1e-3)
+    threshold = bm._node_threshold(sup)
+    dense = traj._dense
+    whole = DenseOutput(dense.fun, dense.t, dense.y)  # its last step not cut at the root
+
+    def node_event(t, y):
+        return bm._point_amplitude(sup, y, t) - threshold
+
+    root = _brentq_on_dense(node_event, whole, dense.t.size - 2)
+    [hit] = traj.node_encounters
+    assert abs(root - 1.580) < 1e-3
+    assert _bits(hit["t"]) == _bits(root) == _bits(traj.times[-1]) == _bits(dense.end)
+    assert _bits(hit["x"]) == _bits(whole(root)) == _bits(traj.positions[-1])
 
 
 def test_terminal_event_truncates_run_and_samples():

@@ -8,6 +8,7 @@ import pytest
 from pilotwave import semiclassical as sc
 from pilotwave import systems as sy
 from pilotwave.errors import DomainError, TurningPointError
+from pilotwave.integrate import solve_ivp
 
 
 def test_hj_residual_free_particle():
@@ -132,6 +133,19 @@ def test_van_vleck_caustic_phase():
     # removing the conjugate-point phase must break the agreement by exactly i
     naive = k.value * cmath.exp(1j * math.pi / 2.0)
     assert abs(naive - exact) / abs(exact) > 0.5
+
+
+@pytest.mark.parametrize("system", [sy.free_particle(), sy.harmonic(1.3)],
+                         ids=["free", "oscillator"])
+def test_shoot_matches_its_composition(system):
+    """`_shoot`'s one-function right-hand side runs as the composed reference does, bit
+    for bit: the stepping sees Python floats, the dense rebuild (D, M) arrays."""
+    res = sc._shoot(system, 0.4, -0.9, 2.1, tol=sc.SHOT_TOL)
+    ref = solve_ivp(oracles.shoot_rhs(system), (0.0, 2.1), (0.4, -0.9, 0.0, 1.0, 0.0),
+                    rtol=sc.SHOT_TOL, atol=sc.SHOT_TOL, dense_output=True)
+    ts = np.linspace(0.0, 2.1, 41)
+    assert res.t.tobytes() == ref.t.tobytes() and res.y.tobytes() == ref.y.tobytes()
+    assert res.sol(ts).tobytes() == ref.sol(ts).tobytes()
 
 
 def test_green_no_path_flag():
